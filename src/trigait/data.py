@@ -10,7 +10,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Iterable
 
 import numpy as np
 
@@ -29,16 +29,30 @@ def write_silhouette(path, seq: SilhouetteSequence) -> None:
         fh.write(np.packbits(seq.frames.reshape(-1)).tobytes())
 
 
-def read_silhouette_frames(path) -> np.ndarray:
+def _read(path, fmt: str, magic: bytes, kind: str) -> tuple[tuple[int, ...], memoryview]:
+    """Header fields after the magic and version, and the payload that follows."""
     raw = Path(path).read_bytes()
-    if raw[:4] != SIL_MAGIC:
-        raise ValueError(f"{path}: bad silhouette magic {raw[:4]!r}")
-    version, t, h, w = struct.unpack_from("<IIII", raw, 4)
+    if raw[:4] != magic:
+        raise ValueError(f"{path}: bad {kind} magic {raw[:4]!r}")
+    size = 4 + struct.calcsize(fmt)
+    if len(raw) < size:
+        raise ValueError(f"{path}: {kind} header is {len(raw)} bytes, expected {size}")
+    version, *dims = struct.unpack_from(fmt, raw, 4)
     if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported silhouette version {version}")
+        raise ValueError(f"{path}: unsupported {kind} version {version}")
+    return tuple(dims), memoryview(raw)[size:]
+
+
+def _check_length(path, payload: memoryview, expected: int, kind: str) -> None:
+    if len(payload) != expected:
+        raise ValueError(f"{path}: {kind} payload is {len(payload)} bytes, expected {expected}")
+
+
+def read_silhouette_frames(path) -> np.ndarray:
+    (t, h, w), payload = _read(path, "<IIII", SIL_MAGIC, "silhouette")
     total = t * h * w
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8, offset=20), count=total)
-    return bits.reshape(t, h, w)
+    _check_length(path, payload, (total + 7) // 8, "silhouette")
+    return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total).reshape(t, h, w)
 
 
 def write_keypoints(path, seq: SkeletonSequence) -> None:
@@ -50,14 +64,13 @@ def write_keypoints(path, seq: SkeletonSequence) -> None:
 
 
 def read_keypoints(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if raw[:4] != KPT_MAGIC:
-        raise ValueError(f"{path}: bad keypoint magic {raw[:4]!r}")
-    version, t, k = struct.unpack_from("<III", raw, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported keypoint version {version}")
-    arr = np.frombuffer(raw, dtype="<f8", offset=16, count=t * k * 2)
-    return arr.reshape(t, k, 2).astype(np.float64)
+    (t, k), payload = _read(path, "<III", KPT_MAGIC, "keypoint")
+    _check_length(path, payload, t * k * 16, "keypoint")
+    arr = np.frombuffer(payload, dtype="<f8").reshape(t, k, 2).astype(np.float64)
+    if not np.isfinite(arr).all():
+        frame = int(np.argwhere(~np.isfinite(arr))[0, 0])
+        raise ValueError(f"{path}: non-finite keypoint at frame {frame}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -81,16 +94,6 @@ class Batch:
     silhouettes: np.ndarray    # (N, T, H, W) uint8
     skeletons: np.ndarray      # (N, T, 17, 2) float64
     labels: np.ndarray         # (N,) subject ids
-
-
-class SequenceSource(Protocol):
-    """What the trainer needs from any dataset backend."""
-
-    def subjects(self) -> list[int]: ...
-
-    def records(self) -> list[SequenceRecord]: ...
-
-    def load_pair(self, rec: SequenceRecord) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class GaitDataset:
@@ -171,7 +174,7 @@ def _crop_frames(n_frames: int, want: int, rng: np.random.Generator) -> np.ndarr
     return np.tile(np.arange(n_frames), reps)[:want]
 
 
-def sample_batch(dataset: SequenceSource, spec: BatchSpec, rng: np.random.Generator) -> Batch:
+def sample_batch(dataset: GaitDataset, spec: BatchSpec, rng: np.random.Generator) -> Batch:
     """P distinct subjects x K sequences, each cropped to the same T-frame
     window in both modalities."""
     subjects = dataset.subjects()

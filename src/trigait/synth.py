@@ -1,9 +1,12 @@
 """Synthetic paired skeleton/silhouette gait sequences.
 
 A 3D articulated walker (sinusoidal joint-angle trajectories, treadmill-style
-in place) is posed per frame and projected orthographically at a given azimuth
-onto a 64x64 image. The 17 COCO keypoints land in the same pixel space as the
-rasterized silhouette, so the two modalities are frame- and geometry-aligned.
+in place) is posed and projected orthographically at a given azimuth onto a
+64x64 image. All frames of a sequence are posed and rasterized in one pass,
+with the same per-element arithmetic as drawing each frame on its own, so the
+output is bit-identical to per-frame rendering. The 17 COCO keypoints land in
+the same pixel space as the rasterized silhouette, so the two modalities are
+frame- and geometry-aligned.
 
 Identity is carried by limb proportions, gait frequency, phase offsets, and
 posture, which both modalities can plausibly detect. Conditions perturb only
@@ -99,8 +102,13 @@ def synth_subject(seed: int) -> SubjectParams:
     )
 
 
-def _pose_3d(subject: SubjectParams, phase: float) -> np.ndarray:
-    """17 joint positions at one gait phase: x forward, y up, z lateral-left."""
+def _vec(x, y, z) -> np.ndarray:
+    """Stack three broadcastable components into (..., 3) points."""
+    return np.stack(np.broadcast_arrays(x, y, z), axis=-1)
+
+
+def _pose_3d(subject: SubjectParams, phase: np.ndarray) -> np.ndarray:
+    """(T, 17, 3) joint positions at T gait phases: x forward, y up, z lateral-left."""
     L = subject.limb_lengths
     A = subject.amplitudes
     d = subject.phase_offsets
@@ -110,34 +118,35 @@ def _pose_3d(subject: SubjectParams, phase: float) -> np.ndarray:
     pelvis_y = leg_len - A["bob"] * (1.0 - np.cos(2.0 * phase)) * 0.5
     sway = 0.012 * np.sin(phase)
 
-    pts = np.zeros((NUM_JOINTS, 3))
+    pts = np.zeros((len(phase), NUM_JOINTS, 3))
 
     def leg(side, hip_idx, knee_idx, ank_idx, phase_side):
         hip_angle = A["hip"] * np.sin(phase_side + d[hip_idx]) + b[hip_idx]
         swing = 0.5 * (1.0 + np.cos(phase_side + d[knee_idx] - 1.0))
-        knee_angle = A["knee"] * swing**2 + 0.08 + b[knee_idx]
-        hip = np.array([0.0, pelvis_y - 0.015, side * L["hip_hw"]]) + [0, 0, sway]
-        knee = hip + L["thigh"] * np.array([np.sin(hip_angle), -np.cos(hip_angle), 0.0])
+        # squared through the scalar path: libm pow, which differs from the
+        # array x*x in the last bit for some values
+        swing_sq = np.array([s**2 for s in swing.tolist()])
+        knee_angle = A["knee"] * swing_sq + 0.08 + b[knee_idx]
+        hip = _vec(0.0, pelvis_y - 0.015, side * L["hip_hw"] + sway)
+        knee = hip + L["thigh"] * _vec(np.sin(hip_angle), -np.cos(hip_angle), 0.0)
         shin_angle = hip_angle - knee_angle
-        ank = knee + L["shin"] * np.array([np.sin(shin_angle), -np.cos(shin_angle), 0.0])
-        pts[hip_idx], pts[knee_idx], pts[ank_idx] = hip, knee, ank
+        ank = knee + L["shin"] * _vec(np.sin(shin_angle), -np.cos(shin_angle), 0.0)
+        pts[:, hip_idx], pts[:, knee_idx], pts[:, ank_idx] = hip, knee, ank
 
     leg(+1, L_HIP, L_KNE, L_ANK, phase)
     leg(-1, R_HIP, R_KNE, R_ANK, phase + np.pi)
 
     lean = A["lean"]
-    chest = np.array(
-        [L["torso"] * np.sin(lean), pelvis_y + L["torso"] * np.cos(lean), sway * 0.5]
-    )
+    chest = _vec(L["torso"] * np.sin(lean), pelvis_y + L["torso"] * np.cos(lean), sway * 0.5)
 
     def arm(side, sho_idx, elb_idx, wri_idx, phase_side):
         sho = chest + np.array([0.0, -0.01, side * L["shoulder_hw"]])
         arm_angle = A["arm"] * np.sin(phase_side + d[sho_idx]) + b[sho_idx]
-        elb = sho + L["upper_arm"] * np.array([np.sin(arm_angle), -np.cos(arm_angle), 0.0])
+        elb = sho + L["upper_arm"] * _vec(np.sin(arm_angle), -np.cos(arm_angle), 0.0)
         elb_flex = 0.25 + A["elbow"] * 0.5 * (1.0 + np.sin(phase_side + d[elb_idx]))
         wri_angle = arm_angle + elb_flex
-        wri = elb + L["forearm"] * np.array([np.sin(wri_angle), -np.cos(wri_angle), 0.0])
-        pts[sho_idx], pts[elb_idx], pts[wri_idx] = sho, elb, wri
+        wri = elb + L["forearm"] * _vec(np.sin(wri_angle), -np.cos(wri_angle), 0.0)
+        pts[:, sho_idx], pts[:, elb_idx], pts[:, wri_idx] = sho, elb, wri
 
     # arms swing against the same-side leg
     arm(+1, L_SHO, L_ELB, L_WRI, phase + np.pi)
@@ -145,12 +154,12 @@ def _pose_3d(subject: SubjectParams, phase: float) -> np.ndarray:
 
     neck = chest + np.array([0.0, L["neck"], 0.0])
     head_c = neck + np.array([0.012, L["head_r"], 0.0])
-    pts[NOSE] = head_c + np.array([0.55 * L["head_r"], -0.1 * L["head_r"], 0.0])
+    pts[:, NOSE] = head_c + np.array([0.55 * L["head_r"], -0.1 * L["head_r"], 0.0])
     for side, eye, ear in ((+1, L_EYE, L_EAR), (-1, R_EYE, R_EAR)):
-        pts[eye] = head_c + np.array(
+        pts[:, eye] = head_c + np.array(
             [0.45 * L["head_r"], 0.15 * L["head_r"], side * 0.35 * L["head_r"]]
         )
-        pts[ear] = head_c + np.array(
+        pts[:, ear] = head_c + np.array(
             [0.02 * L["head_r"], 0.05 * L["head_r"], side * 0.85 * L["head_r"]]
         )
     return pts
@@ -161,48 +170,59 @@ def _standing_height(subject: SubjectParams) -> float:
     return L["thigh"] + L["shin"] + L["torso"] + L["neck"] + 2.2 * L["head_r"]
 
 
-def _capsule(mask, yy, xx, p0, p1, r):
-    """Set mask pixels within distance r of segment p0-p1 (pixel coords u,v)."""
-    lo_u = max(int(np.floor(min(p0[0], p1[0]) - r - 1)), 0)
-    hi_u = min(int(np.ceil(max(p0[0], p1[0]) + r + 1)), IMG - 1)
-    lo_v = max(int(np.floor(min(p0[1], p1[1]) - r - 1)), 0)
-    hi_v = min(int(np.ceil(max(p0[1], p1[1]) + r + 1)), IMG - 1)
-    if lo_u > hi_u or lo_v > hi_v:
+_PIXELS = np.arange(IMG, dtype=np.float64)
+
+
+def _box(lo, hi, ru, rv) -> tuple[slice, slice] | None:
+    """Row and column slices covering [lo - r - 1, hi + r + 1] per (u, v) axis,
+    clipped to the image; None when nothing of it is on the image."""
+    u0, u1 = max(int(np.floor(lo[0] - ru - 1)), 0), min(int(np.ceil(hi[0] + ru + 1)), IMG - 1)
+    v0, v1 = max(int(np.floor(lo[1] - rv - 1)), 0), min(int(np.ceil(hi[1] + rv + 1)), IMG - 1)
+    if u0 > u1 or v0 > v1:
+        return None
+    return slice(v0, v1 + 1), slice(u0, u1 + 1)
+
+
+def _capsule(masks, p0, p1, r):
+    """Set pixels of each frame within distance r of its segment p0-p1.
+
+    p0, p1 are (T, 2) pixel coords (u, v). All frames are drawn in one block,
+    the union of the per-frame boxes padded by r + 1; a pixel outside its own
+    frame's box is farther than r + 1 from that segment and stays False.
+    """
+    box = _box(np.minimum(p0, p1).min(axis=0), np.maximum(p0, p1).max(axis=0), r, r)
+    if box is None:
         return
-    sub_x = xx[lo_v : hi_v + 1, lo_u : hi_u + 1]
-    sub_y = yy[lo_v : hi_v + 1, lo_u : hi_u + 1]
-    du, dv = p1[0] - p0[0], p1[1] - p0[1]
+    rows, cols = box
+    x, y = _PIXELS[cols], _PIXELS[rows, None]
+    p0u, p0v = p0[:, 0, None, None], p0[:, 1, None, None]
+    du, dv = p1[:, 0, None, None] - p0u, p1[:, 1, None, None] - p0v
     denom = du * du + dv * dv
-    if denom < 1e-18:
-        t = np.zeros_like(sub_x)
-    else:
-        t = np.clip(((sub_x - p0[0]) * du + (sub_y - p0[1]) * dv) / denom, 0.0, 1.0)
-    dist2 = (sub_x - (p0[0] + t * du)) ** 2 + (sub_y - (p0[1] + t * dv)) ** 2
-    mask[lo_v : hi_v + 1, lo_u : hi_u + 1] |= dist2 <= r * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(((x - p0u) * du + (y - p0v) * dv) / denom, 0.0, 1.0)
+    # a zero-length segment is its start point
+    t = np.where(denom < 1e-18, 0.0, t)
+    dist2 = (x - (p0u + t * du)) ** 2 + (y - (p0v + t * dv)) ** 2
+    masks[:, rows, cols] |= dist2 <= r * r
 
 
-def _ellipse(mask, yy, xx, center, ru, rv):
-    lo_u = max(int(np.floor(center[0] - ru - 1)), 0)
-    hi_u = min(int(np.ceil(center[0] + ru + 1)), IMG - 1)
-    lo_v = max(int(np.floor(center[1] - rv - 1)), 0)
-    hi_v = min(int(np.ceil(center[1] + rv + 1)), IMG - 1)
-    if lo_u > hi_u or lo_v > hi_v:
+def _ellipse(masks, center, ru, rv):
+    """Set pixels of each frame inside the axis-aligned ellipse at its (T, 2) center."""
+    box = _box(center.min(axis=0), center.max(axis=0), ru, rv)
+    if box is None:
         return
-    sub_x = xx[lo_v : hi_v + 1, lo_u : hi_u + 1]
-    sub_y = yy[lo_v : hi_v + 1, lo_u : hi_u + 1]
-    val = ((sub_x - center[0]) / ru) ** 2 + ((sub_y - center[1]) / rv) ** 2
-    mask[lo_v : hi_v + 1, lo_u : hi_u + 1] |= val <= 1.0
+    rows, cols = box
+    x, y = _PIXELS[cols], _PIXELS[rows, None]
+    val = ((x - center[:, 0, None, None]) / ru) ** 2 + ((y - center[:, 1, None, None]) / rv) ** 2
+    masks[:, rows, cols] |= val <= 1.0
 
 
-_GRID_Y, _GRID_X = np.mgrid[0:IMG, 0:IMG].astype(np.float64)
-
-
-def _rasterize(kps: np.ndarray, scale: float, subject: SubjectParams, condition: str,
+def _rasterize(joints: np.ndarray, scale: float, subject: SubjectParams, condition: str,
                bag_side: int, bag_size: float) -> np.ndarray:
-    """Draw one silhouette frame from projected keypoints (pixel coords)."""
+    """Draw (T, 64, 64) silhouette frames from (T, 17, 2) projected keypoints."""
     L = subject.limb_lengths
-    mask = np.zeros((IMG, IMG), dtype=bool)
-    yy, xx = _GRID_Y, _GRID_X
+    masks = np.zeros((len(joints), IMG, IMG), dtype=bool)
+    kps = joints.swapaxes(0, 1)  # kps[j] is joint j in every frame
 
     cl = condition == "CL"
     limb_mul = 1.3 if cl else 1.0
@@ -219,36 +239,36 @@ def _rasterize(kps: np.ndarray, scale: float, subject: SubjectParams, condition:
         (L_ELB, L_WRI): radii["forearm"], (R_ELB, R_WRI): radii["forearm"],
     }
     for (a, b), r in bone_r.items():
-        _capsule(mask, yy, xx, kps[a], kps[b], r * scale)
+        _capsule(masks, kps[a], kps[b], r * scale)
 
     # torso: side seams plus a wide center column between chest and pelvis
     sho_mid = 0.5 * (kps[L_SHO] + kps[R_SHO])
     hip_mid = 0.5 * (kps[L_HIP] + kps[R_HIP])
     seam_r = 0.035 * torso_mul * scale
-    _capsule(mask, yy, xx, kps[L_SHO], kps[L_HIP], seam_r)
-    _capsule(mask, yy, xx, kps[R_SHO], kps[R_HIP], seam_r)
-    _capsule(mask, yy, xx, sho_mid, hip_mid, 0.055 * torso_mul * scale)
-    _capsule(mask, yy, xx, kps[L_SHO], kps[R_SHO], 0.03 * torso_mul * scale)
-    _capsule(mask, yy, xx, kps[L_HIP], kps[R_HIP], 0.04 * torso_mul * scale)
+    _capsule(masks, kps[L_SHO], kps[L_HIP], seam_r)
+    _capsule(masks, kps[R_SHO], kps[R_HIP], seam_r)
+    _capsule(masks, sho_mid, hip_mid, 0.055 * torso_mul * scale)
+    _capsule(masks, kps[L_SHO], kps[R_SHO], 0.03 * torso_mul * scale)
+    _capsule(masks, kps[L_HIP], kps[R_HIP], 0.04 * torso_mul * scale)
     if cl:
         # coat skirt reaching over the upper thighs
         knee_mid = 0.5 * (kps[L_KNE] + kps[R_KNE])
         skirt_end = hip_mid + 0.45 * (knee_mid - hip_mid)
-        _capsule(mask, yy, xx, hip_mid, skirt_end, 0.075 * scale)
+        _capsule(masks, hip_mid, skirt_end, 0.075 * scale)
 
     # neck and head
-    _capsule(mask, yy, xx, sho_mid, kps[NOSE], 0.024 * scale)
+    _capsule(masks, sho_mid, kps[NOSE], 0.024 * scale)
     ear_mid = 0.5 * (kps[L_EAR] + kps[R_EAR])
     hr = L["head_r"] * 1.12 * scale
-    _ellipse(mask, yy, xx, ear_mid, hr, 1.12 * hr)
+    _ellipse(masks, ear_mid, hr, 1.12 * hr)
 
     if condition == "BG":
         wrist = kps[L_WRI] if bag_side > 0 else kps[R_WRI]
         center = wrist + np.array([0.02 * scale, 0.055 * scale])
-        _ellipse(mask, yy, xx, center, bag_size * scale, 1.25 * bag_size * scale)
-        _capsule(mask, yy, xx, wrist, center, 0.012 * scale)
+        _ellipse(masks, center, bag_size * scale, 1.25 * bag_size * scale)
+        _capsule(masks, wrist, center, 0.012 * scale)
 
-    return mask.astype(np.uint8)
+    return masks.astype(np.uint8)
 
 
 def render_sequence(
@@ -285,21 +305,16 @@ def render_sequence(
     scale = 56.0 / height
     base_v = 61.0
 
-    joints = np.zeros((T, NUM_JOINTS, 2))
-    frames = np.zeros((T, IMG, IMG), dtype=np.uint8)
-    for t in range(T):
-        phase = phase0 + 2.0 * np.pi * freq * t
-        p3 = _pose_3d(subject, phase)
-        u = p3[:, 0] * np.sin(theta) + p3[:, 2] * np.cos(theta)
-        v = p3[:, 1]
-        hip_u = 0.5 * (u[L_HIP] + u[R_HIP])
-        kps = np.stack(
-            [(IMG / 2) + (u - hip_u) * scale, base_v - v * scale], axis=1
-        )
-        joints[t] = kps
-        frames[t] = _rasterize(kps, scale, subject, condition, bag_side, bag_size)
-        if frames[t].sum() == 0:
-            raise ValueError(f"render_sequence: empty silhouette at frame {t}")
+    phase = phase0 + 2.0 * np.pi * freq * np.arange(T)
+    p3 = _pose_3d(subject, phase)
+    u = p3[:, :, 0] * np.sin(theta) + p3[:, :, 2] * np.cos(theta)
+    v = p3[:, :, 1]
+    hip_u = 0.5 * (u[:, L_HIP] + u[:, R_HIP])
+    joints = np.stack([(IMG / 2) + (u - hip_u[:, None]) * scale, base_v - v * scale], axis=-1)
+    frames = _rasterize(joints, scale, subject, condition, bag_side, bag_size)
+    empty = np.flatnonzero(~frames.any(axis=(1, 2)))
+    if empty.size:
+        raise ValueError(f"render_sequence: empty silhouette at frame {empty[0]}")
 
     ske = SkeletonSequence(joints, subject_id, condition, int(view), seq_index)
     sil = SilhouetteSequence(frames, subject_id, condition, int(view), seq_index)

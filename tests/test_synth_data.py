@@ -1,5 +1,7 @@
 """Synthetic walker generation and dataset persistence/batching."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,16 @@ class TestRender:
         with pytest.raises(ValueError):
             render_sequence(squashed, "NM", 0, T=4, seed=0)
 
+    def test_empty_silhouette_names_first_empty_frame(self):
+        import dataclasses
+
+        # a pelvis bob this large drops the body off the image after frame 0
+        bouncy = dataclasses.replace(
+            self.subj, amplitudes={**self.subj.amplitudes, "bob": 100.0}
+        )
+        with pytest.raises(ValueError, match="empty silhouette at frame 1$"):
+            render_sequence(bouncy, "NM", 0, T=10, seed=1)
+
     def test_unknown_condition_rejected(self):
         with pytest.raises(ValueError):
             render_sequence(self.subj, "XX", 0, T=4, seed=0)
@@ -109,6 +121,50 @@ class TestRender:
         _, sil = render_sequence(self.subj, "CL", 126, T=5, seed=9)
         assert sil.frames.shape == (5, 64, 64)
         assert set(np.unique(sil.frames)) <= {0, 1}
+
+
+# sha256 of joints.tobytes() + frames.tobytes() for T = 2, 7, 30, keyed by
+# (condition, seed, view) for subject 5. Seeds 0 and 2 put the BG bag on
+# opposite hands; view 90 makes the shoulder and hip lines zero-length. Seed
+# 211 poses a knee where squaring by libm pow and by x*x differ in the last bit.
+GOLDEN_RENDERS = {
+    ("NM", 211, 0): "e103a48b8dde0d2401bcb83952528d75f9d0edf0b4561cb15c98840415317375",
+    ("NM", 211, 54): "c340c945f6c6a81737d1441591e461436bd5c609f540072b69ca7950cc538017",
+    ("NM", 211, 90): "cbbc0cbc80b30020ca53987ed956f41a12606af76f683670fb9342985b6ebc03",
+    ("NM", 211, 180): "e988a4237b4f6904bd3c2ef05d77f164a2fd444c8e51b5d03c2dc92dad2388f0",
+    ("BG", 0, 0): "924bb8987a542ecc6d70c17fbf97f75ea3fd068778da8626692e8bae059889b8",
+    ("BG", 0, 54): "bce7a4b1dee41a8d4d281e78e2f42b4ba9267749979e9d49a2fdf363b0f8f1c4",
+    ("BG", 0, 90): "bf3316dc413ec271e304a0450ad7a34dce0d45b17347721a425fc70eb2c393c9",
+    ("BG", 0, 180): "4b7202a814b15fb0b9dcf6184a5e800e5b0c9eac0dbfcc15a8cab287b49ee5e8",
+    ("BG", 2, 0): "7d9b86b2dcd7f7cca61980666344edb0aca734ad5a2df8109cb0d6fcc6b190bd",
+    ("BG", 2, 54): "d5241cd3b77494b37e35c0bba453c72f04adf11a28dea2ea269df6797eb71c5b",
+    ("BG", 2, 90): "d624377fc1946b7cafd64fcf8c33510fff28095f0107485b994ace53523a1b4f",
+    ("BG", 2, 180): "bc669bcf096ef58b2477fd8ca05fa32dba98bcaf75e5bdcfc0c021fc8a3c4d0c",
+    ("CL", 211, 0): "a954ce7ae214643308a239a176230a036f8dac2929013a494e49b87bfdfc9832",
+    ("CL", 211, 54): "abe397628940b30cab9b6908fd370ffb84de0fceee7a879ba1cce7d02ffca547",
+    ("CL", 211, 90): "88788adc5453ac99eb052b28e70eb465a63381c475cbd7da7e5ac40e253872c6",
+    ("CL", 211, 180): "bd39baea20d8fab168deb614427af057bb4430fa3c4abf1ad9506fe2dd86a95e",
+}
+
+
+class TestRenderGolden:
+    def test_bag_seeds_cover_both_hands(self):
+        # render_sequence draws phase and frequency, then the bag side
+        sides = set()
+        for seed in (0, 2):
+            rng = np.random.default_rng(seed)
+            rng.uniform(), rng.uniform()
+            sides.add(rng.uniform() < 0.5)
+        assert sides == {True, False}
+
+    @pytest.mark.parametrize("condition,seed,view", sorted(GOLDEN_RENDERS))
+    def test_bytes_match_golden(self, condition, seed, view):
+        subj = synth_subject(5)
+        h = hashlib.sha256()
+        for T in (2, 7, 30):
+            ske, sil = render_sequence(subj, condition, view, T=T, seed=seed)
+            h.update(ske.joints.tobytes() + sil.frames.tobytes())
+        assert h.hexdigest() == GOLDEN_RENDERS[(condition, seed, view)]
 
 
 def make_tiny_dataset(root, n_subjects=3, views=(0, 90), seqs_per_view=2, T=32):
@@ -156,6 +212,43 @@ class TestDatasetIO:
         with pytest.raises(ValueError) as ei:
             read_silhouette_frames(p)
         assert "bad.tgsl" in str(ei.value)
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        ske, sil = render_sequence(synth_subject(77), "NM", 36, T=5, seed=4)
+        write_silhouette(tmp_path / "a.tgsl", sil)
+        write_keypoints(tmp_path / "a.tgkt", ske)
+        return tmp_path
+
+    @pytest.mark.parametrize("name,header", [("a.tgsl", 20), ("a.tgkt", 16)])
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda raw, header: raw[:-1],
+            lambda raw, header: raw[: len(raw) // 2],
+            lambda raw, header: raw + b"\x00",
+            lambda raw, header: raw[: header - 1],
+        ],
+        ids=["one_byte_short", "half_length", "trailing_byte", "short_header"],
+    )
+    def test_wrong_length_rejected_with_path(self, written, name, header, damage):
+        path = written / name
+        path.write_bytes(damage(path.read_bytes(), header))
+        reader = read_silhouette_frames if name.endswith(".tgsl") else read_keypoints
+        with pytest.raises(ValueError) as ei:
+            reader(path)
+        assert str(path) in str(ei.value)
+
+    def test_nan_keypoint_rejected_with_path(self, written):
+        path = written / "a.tgkt"
+        joints = read_keypoints(path)
+        joints[3, 7, 1] = np.nan
+        raw = path.read_bytes()
+        path.write_bytes(raw[:16] + joints.astype("<f8").tobytes())
+        with pytest.raises(ValueError) as ei:
+            read_keypoints(path)
+        assert str(path) in str(ei.value)
+        assert "frame 3" in str(ei.value)
 
     def test_manifest_counts_match_files(self, tmp_path):
         ds = make_tiny_dataset(tmp_path / "d")
