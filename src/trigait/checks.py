@@ -6,6 +6,8 @@ line per check plus a pass/fail summary and returns a process exit code.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .fusion import PARTS, motion_ranges, neck_normalize, uniform_partition_ranges
@@ -13,7 +15,7 @@ from .gradcheck import gradcheck, model_param_gradcheck
 from .losses import triplet_ba_loss
 from .skeleton import JsaTcBlock, attention_over_axis
 from .silhouette import SpatialRefine
-from .synth import render_sequence, synth_subject
+from .synth import CONDITIONS, render_sequence, synth_subject
 from .tensor import (
     Tensor,
     batch_norm_stats,
@@ -169,7 +171,72 @@ def _residual_identities():
     assert np.abs(blk(Tensor(xb)).data - xb).max() < 1e-12
 
 
-# -- oracle equivalences ----------------------------------------------------------
+# -- oracle equivalences (the test suite shares these oracles) -------------------
+
+
+def bruteforce_motion_rows(norm: np.ndarray, h_feat: int) -> list[tuple]:
+    """(h_f, h_e, row_lo, row_hi) per part of neck-normalized (T, 17, 2)
+    joints, from plain min/max loops over frames and the part's joints."""
+    t_len = norm.shape[0]
+    last = h_feat - 1
+    v = norm[..., 1]
+    vmin, vmax = v.min(), v.max()
+    rows = []
+    for _, idx in PARTS:
+        hf = min(v[t, j] for t in range(t_len) for j in idx)
+        he = max(v[t, j] for t in range(t_len) for j in idx)
+        lo = int(np.clip(np.floor((hf - vmin) / (vmax - vmin) * last), 0, last))
+        hi = int(np.clip(np.ceil((he - vmin) / (vmax - vmin) * last), 0, last))
+        rows.append((hf, he, lo, max(hi, lo)))
+    return rows
+
+
+def bruteforce_batch_all(emb: np.ndarray, labels, margin: float) -> tuple[float, float]:
+    """Batch-all triplet loss and active fraction of (N, C, P) embeddings by
+    an exhaustive (anchor, positive, negative) loop per part."""
+    n, _, parts = emb.shape
+    per_part, active, valid = [], 0, 0
+    for p in range(parts):
+        terms = []
+        for a in range(n):
+            for i in range(n):
+                if i == a or labels[i] != labels[a]:
+                    continue
+                for j in range(n):
+                    if labels[j] == labels[a]:
+                        continue
+                    d_ap = np.linalg.norm(emb[a, :, p] - emb[i, :, p])
+                    d_an = np.linalg.norm(emb[a, :, p] - emb[j, :, p])
+                    terms.append(margin + d_ap - d_an)
+        valid += len(terms)
+        act = [x for x in terms if x > 0]
+        active += len(act)
+        per_part.append(sum(act) / len(act) if act else 0.0)
+    return float(np.mean(per_part)), active / valid
+
+
+def bruteforce_rank1(
+    gal, gal_labels, gal_views, probe, probe_labels, probe_views, conds, views
+) -> dict[str, np.ndarray]:
+    """Rank-1 grid (probe view x gallery view) per condition by an exhaustive
+    nearest-neighbour search under the summed per-part distance; NaN where a
+    cell has no probe or no gallery sequence."""
+
+    def dist(a, b):
+        return sum(np.linalg.norm(a[:, p] - b[:, p]) for p in range(a.shape[1]))
+
+    grids = {c: np.full((len(views), len(views)), np.nan) for c in CONDITIONS}
+    cells = list(enumerate(views))
+    for cond, (pi, pv), (gi, gv) in itertools.product(CONDITIONS, cells, cells):
+        sel_p = [i for i in range(len(probe)) if conds[i] == cond and probe_views[i] == pv]
+        sel_g = [j for j in range(len(gal)) if gal_views[j] == gv]
+        if sel_p and sel_g:
+            hits = sum(
+                gal_labels[min(sel_g, key=lambda j: dist(probe[i], gal[j]))] == probe_labels[i]
+                for i in sel_p
+            )
+            grids[cond][pi, gi] = hits / len(sel_p)
+    return grids
 
 
 @check("alignment", "motion ranges equal brute-force min/max loops")
@@ -179,15 +246,9 @@ def _alignment_oracle():
         ske, _ = render_sequence(subj, "NM", 54, T=12, seed=seed)
         norm = neck_normalize(ske.joints)
         got = motion_ranges(norm, h_feat=16)
-        v = norm[..., 1]
-        vmin, vmax = v.min(), v.max()
-        for p, (name, idx) in enumerate(PARTS):
-            hf = min(v[t, j] for t in range(12) for j in idx)
-            he = max(v[t, j] for t in range(12) for j in idx)
-            assert got[p].h_f == hf and got[p].h_e == he, name
-            lo = int(np.clip(np.floor((hf - vmin) / (vmax - vmin) * 15), 0, 15))
-            hi = int(np.clip(np.ceil((he - vmin) / (vmax - vmin) * 15), 0, 15))
-            assert (got[p].row_lo, got[p].row_hi) == (lo, max(hi, lo)), name
+        want = bruteforce_motion_rows(norm, h_feat=16)
+        for (name, _), r, expected in zip(PARTS, got, want):
+            assert (r.h_f, r.h_e, r.row_lo, r.row_hi) == expected, name
     bands = uniform_partition_ranges(16)
     assert [b.row_hi - b.row_lo + 1 for b in bands] == [3, 3, 2, 2, 2, 2, 2]
 
@@ -202,25 +263,9 @@ def _triplet_oracle():
             labels = r.integers(0, 3, n)
         emb = r.standard_normal((n, 3, 4))
         loss, frac = triplet_ba_loss(Tensor(emb), labels, margin=0.25)
-        per_part, active, valid = [], 0, 0
-        for p in range(4):
-            terms = []
-            for a in range(n):
-                for i in range(n):
-                    if i == a or labels[i] != labels[a]:
-                        continue
-                    for j in range(n):
-                        if labels[j] == labels[a]:
-                            continue
-                        d_ap = np.linalg.norm(emb[a, :, p] - emb[i, :, p])
-                        d_an = np.linalg.norm(emb[a, :, p] - emb[j, :, p])
-                        terms.append(0.25 + d_ap - d_an)
-            valid += len(terms)
-            act = [t for t in terms if t > 0]
-            active += len(act)
-            per_part.append(sum(act) / len(act) if act else 0.0)
-        assert abs(loss.item() - np.mean(per_part)) < 1e-9
-        assert abs(frac - active / valid) < 1e-12
+        expected, expected_frac = bruteforce_batch_all(emb, labels, 0.25)
+        assert abs(loss.item() - expected) < 1e-9
+        assert abs(frac - expected_frac) < 1e-12
 
 
 @check("rank1", "rank-1 equals exhaustive nearest-neighbour oracle")
@@ -237,30 +282,10 @@ def _rank1_oracle():
     gal_views = views[r.integers(0, 3, n_gal)]
     probe_views = views[r.integers(0, 3, n_probe)]
     conds = np.array(["NM", "BG", "CL"])[r.integers(0, 3, n_probe)]
-    report = rank1(gal, gal_labels, gal_views, probe, probe_labels, probe_views, conds)
-
-    def dist_one(a, b):
-        return sum(np.linalg.norm(a[:, p] - b[:, p]) for p in range(3))
-
-    for cond in ("NM", "BG", "CL"):
-        for pi, pv in enumerate(report.views):
-            for gi, gv in enumerate(report.views):
-                sel_p = [
-                    i
-                    for i in range(n_probe)
-                    if conds[i] == cond and probe_views[i] == pv
-                ]
-                sel_g = [i for i in range(n_gal) if gal_views[i] == gv]
-                cell = report.rank1[cond][pi, gi]
-                if not sel_p or not sel_g:
-                    assert np.isnan(cell)
-                    continue
-                correct = 0
-                for i in sel_p:
-                    dists = [dist_one(probe[i], gal[j]) for j in sel_g]
-                    nn = sel_g[int(np.argmin(dists))]
-                    correct += gal_labels[nn] == probe_labels[i]
-                assert abs(cell - correct / len(sel_p)) < 1e-12
+    args = (gal, gal_labels, gal_views, probe, probe_labels, probe_views, conds)
+    report = rank1(*args)
+    for cond, want in bruteforce_rank1(*args, report.views).items():
+        np.testing.assert_allclose(report.rank1[cond], want, rtol=0, atol=1e-12)
 
 
 @check("rank1", "identical-view cells excluded from means")

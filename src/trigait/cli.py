@@ -2,8 +2,8 @@
 
 `--threads N` pins the BLAS/OpenMP pool size and must take effect before
 numpy loads, so this module defers heavy imports into the subcommand
-handlers. `--threads 1` is the fully deterministic mode. TRIGAIT_SEED
-provides the default seed for every subcommand.
+handlers. `--threads 1` is the fully deterministic mode. The seed comes from
+`--seed`, else (train only) the config file, else TRIGAIT_SEED, else 0.
 """
 
 from __future__ import annotations
@@ -32,11 +32,12 @@ def _apply_thread_env(argv: list[str]) -> None:
             os.environ[var] = value
 
 
-def _default_seed() -> int:
+def _env_seed() -> int:
+    raw = os.environ.get("TRIGAIT_SEED", "0")
     try:
-        return int(os.environ.get("TRIGAIT_SEED", "0"))
+        return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"TRIGAIT_SEED must be an integer, got {raw!r}") from None
 
 
 def _derive_seed(*parts: int) -> int:
@@ -76,15 +77,16 @@ def cmd_synth(args) -> int:
     if args.subjects < 2:
         raise ValueError(f"need at least 2 subjects, got {args.subjects}")
     out = args.out
+    seed = args.seed if args.seed is not None else _env_seed()
     views = _view_list(args.views)
     plan = _condition_plan(args.seqs_per_view)
 
     def pairs():
         for sid in range(args.subjects):
-            subject = synth_subject(_derive_seed(args.seed, sid))
+            subject = synth_subject(_derive_seed(seed, sid))
             for view in views:
                 for slot, (condition, qi) in enumerate(plan):
-                    render_seed = _derive_seed(args.seed, sid, view, slot)
+                    render_seed = _derive_seed(seed, sid, view, slot)
                     ske, sil = render_sequence(
                         subject, condition, view, args.frames, render_seed,
                         subject_id=sid, seq_index=qi,
@@ -98,13 +100,17 @@ def cmd_synth(args) -> int:
 
 
 def _config_from_args(args):
-    from .config import RunConfig, load_config
+    from .config import RunConfig, parse_config_values
 
-    cfg = load_config(args.config) if args.config else RunConfig()
+    values = {}
+    if args.config:
+        with open(args.config) as fh:
+            values = parse_config_values(fh.read(), source=args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
-    elif "TRIGAIT_SEED" in os.environ and (not args.config or "seed" not in open(args.config).read()):
-        cfg.seed = _default_seed()
+        values["seed"] = args.seed
+    elif "seed" not in values:
+        values["seed"] = _env_seed()
+    cfg = RunConfig(**values)
     overrides = {
         "iterations": args.iterations,
         "miniature": args.miniature or None,
@@ -251,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seqs-per-view", type=int, default=10, dest="seqs_per_view",
                    help="sequences per view (6 NM / 2 BG / 2 CL at the default 10)")
     p.add_argument("--frames", type=int, default=40, help="frames per sequence (>= 30)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_synth)
 
@@ -259,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory (from synth)")
     p.add_argument("--out", required=True, help="output directory for checkpoint + log")
     p.add_argument("--resume", help="checkpoint to continue from")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="default: the config file's seed, else TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     _add_train_flags(p)
     p.set_defaults(func=cmd_train)
@@ -271,13 +278,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="reject the checkpoint unless it matches this config")
     p.add_argument("--dump-ranges", dest="dump_ranges",
                    help="write per-sequence part ranges TSV to this path")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="run the property/oracle suite")
     p.add_argument("--only", help="run a single check group (e.g. gem, grad, rank1)")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_check)
 

@@ -30,7 +30,6 @@ class RunConfig:
     ske_heads: int = 8
     tc_kernel: int = 3
     fusion_heads: int = 8
-    transformer_layers: int = 1
     embed_dim: int = 256
     # training
     margin: float = 0.2
@@ -88,12 +87,10 @@ class RunConfig:
                 channels=tuple(r.ske_channels),
                 heads=r.ske_heads,
                 tc_kernel=r.tc_kernel,
-                out_parts=r.input_size // 4,
             ),
             fusion=FusionConfig(
                 dim=r.embed_dim, heads=r.fusion_heads, partition_mode=r.partition_mode
             ),
-            embed_dim=r.embed_dim,
             num_subjects=num_subjects,
             margin=r.margin,
         )
@@ -101,10 +98,6 @@ class RunConfig:
     def validate(self) -> list[str]:
         errors = []
         r = self.resolved()
-        if r.transformer_layers != 1:
-            errors.append(f"transformer_layers is fixed at 1, got {r.transformer_layers}")
-        if r.partition_mode not in ("motion", "uniform"):
-            errors.append(f"partition_mode must be motion|uniform, got {r.partition_mode!r}")
         for key in ("lr", "lr_after_drop", "margin"):
             if getattr(r, key) <= 0:
                 errors.append(f"{key} must be positive, got {getattr(r, key)}")
@@ -179,8 +172,9 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse key = value lines; collects every problem before failing."""
+def parse_config_values(text: str, source: str = "<config>") -> dict:
+    """Parse key = value lines into the values they set; collects every
+    problem before failing."""
     values = {}
     errors = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -200,7 +194,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             errors.append(f"{source}:{ln}: {exc}")
     if errors:
         raise ValueError("config errors:\n  " + "\n  ".join(errors))
-    return RunConfig(**values)
+    return values
+
+
+def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+    return RunConfig(**parse_config_values(text, source))
 
 
 def load_config(path) -> RunConfig:

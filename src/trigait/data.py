@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .synth import SilhouetteSequence, SkeletonSequence
+from .synth import CONDITIONS, SilhouetteSequence, SkeletonSequence
 
 SIL_MAGIC = b"TGSL"
 KPT_MAGIC = b"TGKT"
@@ -143,21 +143,38 @@ def write_dataset(root, pairs: Iterable[tuple[SkeletonSequence, SilhouetteSequen
     return GaitDataset(root, records)
 
 
+def _parse_manifest_row(cols: list[str], stems: set, where: str) -> SequenceRecord:
+    """One manifest row; `stems` holds the stems of the rows above it."""
+    if len(cols) != 5:
+        raise ValueError(f"{where}: expected 5 tab-separated columns, got {len(cols)}")
+    try:
+        rec = SequenceRecord(int(cols[0]), cols[1], int(cols[2]), int(cols[3]), cols[4])
+    except ValueError:
+        raise ValueError(f"{where}: non-integer subject, view or seq_index: {cols}") from None
+    if rec.condition not in CONDITIONS:
+        raise ValueError(f"{where}: condition {rec.condition!r} not in {'/'.join(CONDITIONS)}")
+    if min(rec.subject, rec.view, rec.seq_index) < 0:
+        raise ValueError(f"{where}: negative subject, view or seq_index: {cols}")
+    if rec.stem in stems:
+        raise ValueError(f"{where}: duplicate stem {rec.stem!r}")
+    return rec
+
+
 def read_dataset(root) -> GaitDataset:
     root = Path(root)
     manifest = root / "manifest.tsv"
     if not manifest.exists():
         raise FileNotFoundError(f"no manifest.tsv under {root}")
     records = []
+    stems = set()
     with open(manifest) as fh:
         header = fh.readline().rstrip("\n").split("\t")
         if header != ["subject", "condition", "view", "seq_index", "stem"]:
             raise ValueError(f"{manifest}: unexpected manifest header {header}")
-        for line in fh:
-            subject, condition, view, seq_index, stem = line.rstrip("\n").split("\t")
-            records.append(
-                SequenceRecord(int(subject), condition, int(view), int(seq_index), stem)
-            )
+        for ln, line in enumerate(fh, start=2):
+            rec = _parse_manifest_row(line.rstrip("\n").split("\t"), stems, f"{manifest}:{ln}")
+            stems.add(rec.stem)
+            records.append(rec)
     for r in records:
         for ext in (".tgsl", ".tgkt"):
             if not (root / (r.stem + ext)).exists():

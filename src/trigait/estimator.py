@@ -107,18 +107,12 @@ class GaitEmbedder:
         """
         if not hasattr(self, "net_"):
             raise ValueError("GaitEmbedder is not fitted; call fit() first")
-        if isinstance(X, tuple) and len(X) == 2:
-            frames = check_silhouette_frames(X[0])
-            joints = check_joints(X[1])
+        batches = []
+        for pair in [X] if isinstance(X, tuple) and len(X) == 2 else X:
+            frames = check_silhouette_frames(pair[0])
+            joints = check_joints(pair[1])
             check_paired(frames, joints)
-            batches = [(frames, joints)]
-        else:
-            batches = []
-            for pair in X:
-                frames = check_silhouette_frames(pair[0])
-                joints = check_joints(pair[1])
-                check_paired(frames, joints)
-                batches.append((frames, joints))
+            batches.append((frames, joints))
         self.net_.eval()
         out = []
         with no_grad():

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import GaitDataset, SequenceRecord
-
-CONDITIONS = ("NM", "BG", "CL")
+from .synth import CONDITIONS
 
 GALLERY_NM_COUNT = 4
 

@@ -103,13 +103,13 @@ def motion_ranges(normalized: np.ndarray, h_feat: int) -> list[PartRange]:
     return out
 
 
-def uniform_partition_ranges(h_feat: int, n_parts: int = NUM_PARTS) -> list[PartRange]:
+def uniform_partition_ranges(h_feat: int) -> list[PartRange]:
     """Ablation wiring: equal contiguous row bands covering [0, h_feat), the
     remainder going to the topmost bands."""
-    base, rem = divmod(h_feat, n_parts)
+    base, rem = divmod(h_feat, NUM_PARTS)
     out = []
     row = 0
-    for p, (name, _) in enumerate(PARTS[:n_parts]):
+    for p, (name, _) in enumerate(PARTS):
         height = base + (1 if p < rem else 0)
         hi = row + height - 1
         out.append(PartRange(name, float(row), float(hi), row, hi))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .nn import Module
 from .tensor import Tensor, no_grad
 
 
@@ -25,36 +26,9 @@ def gradcheck(
     treated as differentiable; up to `n_samples` coordinates per input are
     probed with central differences of size `step`.
     """
-    rng = np.random.default_rng(seed)
-    tensors = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in inputs]
-    out = fn(*tensors)
-    proj = rng.standard_normal(out.shape)
-    loss = (out * Tensor(proj)).sum()
-    loss.backward()
-
-    def projected(arrs) -> float:
-        val = fn(*[Tensor(a) for a in arrs])
-        return float((val.data * proj).sum())
-
-    worst = 0.0
-    base = [t.data.copy() for t in tensors]
-    for ti, t in enumerate(tensors):
-        grad = t.grad if t.grad is not None else np.zeros_like(t.data)
-        flat_n = t.size
-        k = min(n_samples, flat_n)
-        coords = rng.choice(flat_n, size=k, replace=False)
-        for c in coords:
-            idx = np.unravel_index(c, t.shape)
-            pert = [b.copy() for b in base]
-            pert[ti][idx] += step
-            hi = projected(pert)
-            pert[ti][idx] -= 2 * step
-            lo = projected(pert)
-            numeric = (hi - lo) / (2 * step)
-            analytic = grad[idx]
-            scale = max(abs(numeric), abs(analytic), 0.1)
-            worst = max(worst, abs(numeric - analytic) / scale)
-    return worst
+    return model_param_gradcheck(
+        Module(), fn, inputs, n_params=0, n_coords=n_samples, step=step, seed=seed
+    )
 
 
 def model_param_gradcheck(

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import NUM_PARTS, FusionBranch, FusionConfig
+from .fusion import FusionBranch, FusionConfig
 from .losses import LossReport, cross_entropy, triplet_ba_loss
 from .nn import Linear, Module, Parameter
 from .silhouette import SilhouetteBranch, SilhouetteConfig
@@ -21,7 +21,6 @@ class ModelConfig:
     silhouette: SilhouetteConfig = field(default_factory=SilhouetteConfig)
     skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    embed_dim: int = 256
     num_subjects: int = 8
     margin: float = 0.2
 
@@ -29,35 +28,19 @@ class ModelConfig:
     def unimodal_parts(self) -> int:
         return self.silhouette.feat_hw
 
-    @property
-    def total_parts(self) -> int:
-        return self.unimodal_parts + NUM_PARTS
-
     def validate(self) -> list[str]:
         errors = self.silhouette.validate() + self.skeleton.validate() + self.fusion.validate()
-        if self.skeleton.out_parts != self.silhouette.feat_hw:
-            errors.append(
-                f"skeleton parts {self.skeleton.out_parts} must equal the "
-                f"silhouette feature height {self.silhouette.feat_hw}"
-            )
-        if self.fusion.dim != self.embed_dim:
-            errors.append(
-                f"fusion dim {self.fusion.dim} must equal embed_dim {self.embed_dim}"
-            )
         if self.num_subjects < 2:
             errors.append(f"num_subjects must be >= 2, got {self.num_subjects}")
         return errors
 
 
 def miniature_model_config(num_subjects: int = 8) -> ModelConfig:
-    """Desk-scale shape set used by the gradient checks and fast training."""
-    return ModelConfig(
-        silhouette=SilhouetteConfig(in_hw=16, stem_channels=(8, 16, 32, 32), parts=4, reduction=4),
-        skeleton=SkeletonConfig(channels=(16, 16, 32, 64), heads=4, out_parts=4),
-        fusion=FusionConfig(dim=64, heads=4),
-        embed_dim=64,
-        num_subjects=num_subjects,
-    )
+    """Desk-scale shape set (`RunConfig.MINIATURE_OVERRIDES`) used by the
+    gradient checks and fast training."""
+    from .config import RunConfig  # config imports this module
+
+    return RunConfig(miniature=True).model_config(num_subjects)
 
 
 class PartwiseLinear(Module):
@@ -100,7 +83,7 @@ class TriGaitNet(Module):
             raise ValueError("invalid model config: " + "; ".join(problems))
         self.cfg = cfg
         self.silhouette = SilhouetteBranch(cfg.silhouette, rng)
-        self.skeleton = SkeletonBranch(cfg.skeleton, rng)
+        self.skeleton = SkeletonBranch(cfg.skeleton, cfg.unimodal_parts, rng)
         self.fusion = FusionBranch(
             cfg.silhouette.stem_channels[0], cfg.skeleton.channels[0], cfg.fusion, rng
         )
@@ -108,15 +91,15 @@ class TriGaitNet(Module):
             cfg.silhouette.out_channels,
             cfg.skeleton.channels[-1],
             cfg.unimodal_parts,
-            cfg.embed_dim,
+            cfg.fusion.dim,
             rng,
         )
-        self.classifier = Linear(cfg.embed_dim, cfg.num_subjects, rng)
+        self.classifier = Linear(cfg.fusion.dim, cfg.num_subjects, rng)
 
     def forward(self, silhouettes: np.ndarray, joints: np.ndarray) -> Tensor:
         """silhouettes: (N, T, H, W) in [0, 1]; joints: (N, T, 17, 2) pixels.
 
-        Returns part embeddings (N, embed_dim, P1 + 7).
+        Returns part embeddings (N, fusion.dim, P1 + 7).
         """
         sil = np.asarray(silhouettes, dtype=np.float64)
         n, t, h, w = sil.shape

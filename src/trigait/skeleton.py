@@ -16,7 +16,7 @@ import numpy as np
 
 from .nn import BatchNorm, Conv, Linear, Module, ModuleList
 from .synth import NUM_JOINTS, PARENTS
-from .tensor import Tensor, concat, leaky_relu, matmul, softmax, stack
+from .tensor import Tensor, leaky_relu, matmul, softmax, stack
 
 LEAK = 0.01
 
@@ -128,7 +128,6 @@ class SkeletonConfig:
     channels: tuple = (64, 64, 128, 256)
     heads: int = 8
     tc_kernel: int = 3
-    out_parts: int = 16            # joint axis is pooled onto this many parts
 
     def validate(self) -> list[str]:
         errors = []
@@ -140,14 +139,16 @@ class SkeletonConfig:
 
 
 class SkeletonBranch(Module):
-    """(N, T, 17, 2) raw joints -> (N, C_last, out_parts)."""
+    """(N, T, 17, 2) raw joints -> (N, C_last, parts); the joint axis is
+    pooled onto the silhouette part axis."""
 
-    def __init__(self, cfg: SkeletonConfig, rng: np.random.Generator):
+    def __init__(self, cfg: SkeletonConfig, parts: int, rng: np.random.Generator):
         super().__init__()
         problems = cfg.validate()
         if problems:
             raise ValueError("; ".join(problems))
         self.cfg = cfg
+        self.parts = parts
         self.input_bn = BatchNorm(MULTI_INPUT_CHANNELS)
         chans = (MULTI_INPUT_CHANNELS,) + tuple(cfg.channels)
         self.blocks = ModuleList(
@@ -167,5 +168,5 @@ class SkeletonBranch(Module):
             if first is None:
                 first = h
         f_ske = h.max(axis=2)  # temporal max pool -> (N, C, K)
-        gait_ske = adaptive_avg_pool_axis(f_ske, self.cfg.out_parts, axis=2)
+        gait_ske = adaptive_avg_pool_axis(f_ske, self.parts, axis=2)
         return gait_ske, first

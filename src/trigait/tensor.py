@@ -126,9 +126,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -444,10 +441,15 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return out
 
 
+def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-d)) without overflow: exp only sees -|d|."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
-    d = x.data
-    data = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    data = _stable_sigmoid(x.data)
 
     def backward(g):
         if x.requires_grad:
@@ -476,7 +478,7 @@ def softplus(x: Tensor) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
     d = x.data
     data = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
-    sig = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    sig = _stable_sigmoid(d)
 
     def backward(g):
         if x.requires_grad:

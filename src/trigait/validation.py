@@ -2,22 +2,9 @@
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .synth import NUM_JOINTS
-
-
-def check_random_state(seed) -> np.random.Generator:
-    """Accept None, an int seed, or a Generator; return a Generator."""
-    if seed is None:
-        return np.random.default_rng()
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, numbers.Integral):
-        return np.random.default_rng(int(seed))
-    raise ValueError(f"seed must be None, an int, or a Generator, got {type(seed).__name__}")
 
 
 def check_silhouette_frames(frames, name: str = "silhouettes") -> np.ndarray:

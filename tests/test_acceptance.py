@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from trigait.fusion import (
-    PARTS,
     cross_modal_tokens,
     motion_ranges,
     motion_row_ranges,
     neck_normalize,
     uniform_row_ranges,
 )
+from trigait.checks import bruteforce_batch_all, bruteforce_motion_rows, bruteforce_rank1
 from trigait.gradcheck import gradcheck, model_param_gradcheck
 from trigait.losses import triplet_ba_loss
 from trigait.model import ModelConfig, TriGaitNet, miniature_model_config, preprocess_silhouettes
@@ -118,7 +118,7 @@ class TestCriterion1Gradients:
                                     n_params=5, n_coords=3, seed=105)
         assert err < BRANCH_TOL, f"silhouette branch: rel err {err:.3e}"
 
-        ske_branch = SkeletonBranch(mini.skeleton, rng(106))
+        ske_branch = SkeletonBranch(mini.skeleton, mini.unimodal_parts, rng(106))
         joints = walking_pair(seed=2, t=5)[0].joints[None]
         err = model_param_gradcheck(ske_branch, lambda: ske_branch(joints)[0], [],
                                     n_params=5, n_coords=3, seed=107)
@@ -199,15 +199,8 @@ class TestCriterion3Oracles:
             ske, _ = walking_pair(seed=seed, t=10, view=int(18 * seed))
             norm = neck_normalize(ske.joints)
             got = motion_ranges(norm, h_feat=16)
-            v = norm[..., 1]
-            vmin, vmax = v.min(), v.max()
-            for p, (name, idx) in enumerate(PARTS):
-                hf = min(v[t, j] for t in range(10) for j in idx)
-                he = max(v[t, j] for t in range(10) for j in idx)
-                assert got[p].h_f == hf and got[p].h_e == he
-                lo = int(np.clip(np.floor((hf - vmin) / (vmax - vmin) * 15), 0, 15))
-                hi = int(np.clip(np.ceil((he - vmin) / (vmax - vmin) * 15), 0, 15))
-                assert (got[p].row_lo, got[p].row_hi) == (lo, max(hi, lo))
+            want = bruteforce_motion_rows(norm, h_feat=16)
+            assert [(r.h_f, r.h_e, r.row_lo, r.row_hi) for r in got] == want
 
     def test_triplet_oracle_batches_up_to_12(self):
         r = rng(300)
@@ -218,25 +211,9 @@ class TestCriterion3Oracles:
                 labels = r.integers(0, 4, n)
             emb = r.standard_normal((n, 5, 3))
             loss, frac = triplet_ba_loss(Tensor(emb), labels, margin=0.2)
-            per_part, active, valid = [], 0, 0
-            for p in range(3):
-                terms = []
-                for a in range(n):
-                    for i in range(n):
-                        if i == a or labels[i] != labels[a]:
-                            continue
-                        for j in range(n):
-                            if labels[j] == labels[a]:
-                                continue
-                            d_ap = np.linalg.norm(emb[a, :, p] - emb[i, :, p])
-                            d_an = np.linalg.norm(emb[a, :, p] - emb[j, :, p])
-                            terms.append(0.2 + d_ap - d_an)
-                valid += len(terms)
-                act = [x for x in terms if x > 0]
-                active += len(act)
-                per_part.append(sum(act) / len(act) if act else 0.0)
-            assert abs(loss.item() - np.mean(per_part)) < ORACLE_TOL
-            assert abs(frac - active / valid) < ORACLE_TOL
+            expected, expected_frac = bruteforce_batch_all(emb, labels, 0.2)
+            assert abs(loss.item() - expected) < ORACLE_TOL
+            assert abs(frac - expected_frac) < ORACLE_TOL
 
     def test_rank1_oracle_200_sequences(self):
         from trigait.evaluate import rank1
@@ -251,26 +228,10 @@ class TestCriterion3Oracles:
         gal_views = views[r.integers(0, 3, n_gal)]
         probe_views = views[r.integers(0, 3, n_probe)]
         conds = np.array(["NM", "BG", "CL"])[r.integers(0, 3, n_probe)]
-        rep = rank1(gal, gal_labels, gal_views, probe, probe_labels, probe_views, conds)
-
-        def dist(a, b):
-            return sum(np.linalg.norm(a[:, p] - b[:, p]) for p in range(4))
-
-        for cond in ("NM", "BG", "CL"):
-            for pi, pv in enumerate(rep.views):
-                for gi, gv in enumerate(rep.views):
-                    sel_p = [i for i in range(n_probe)
-                             if conds[i] == cond and probe_views[i] == pv]
-                    sel_g = [j for j in range(n_gal) if gal_views[j] == gv]
-                    cell = rep.rank1[cond][pi, gi]
-                    if not sel_p or not sel_g:
-                        assert np.isnan(cell)
-                        continue
-                    hits = 0
-                    for i in sel_p:
-                        ds = [dist(probe[i], gal[j]) for j in sel_g]
-                        hits += gal_labels[sel_g[int(np.argmin(ds))]] == probe_labels[i]
-                    assert cell == hits / len(sel_p)
+        args = (gal, gal_labels, gal_views, probe, probe_labels, probe_views, conds)
+        rep = rank1(*args)
+        for cond, want in bruteforce_rank1(*args, rep.views).items():
+            np.testing.assert_array_equal(rep.rank1[cond], want)
         print("\nACCEPTANCE PASS [3] oracle equivalences: motion ranges, BA+ triplet, rank-1")
 
 

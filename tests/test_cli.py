@@ -1,8 +1,10 @@
 """CLI contracts: subcommands, determinism, exit codes, help texts."""
 
+import warnings
+
 import pytest
 
-from trigait.cli import build_parser, main
+from trigait.cli import _config_from_args, build_parser, main
 
 
 def run_cli(*argv) -> int:
@@ -169,3 +171,51 @@ class TestMisc:
         assert run_cli("synth", "--out", str(b), *args, "--seed", "77") == 0
         for f in sorted(a.iterdir()):
             assert f.read_bytes() == (b / f.name).read_bytes()
+
+
+class TestSeedPrecedence:
+    def train_config(self, tmp_path, *flags, config_text=None):
+        argv = ["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")]
+        if config_text is not None:
+            path = tmp_path / "run.cfg"
+            path.write_text(config_text)
+            argv += ["--config", str(path)]
+        return _config_from_args(build_parser().parse_args(argv + list(flags)))
+
+    def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("TRIGAIT_SEED", "abc")
+        args = ["--subjects", "2", "--views", "1", "--seqs-per-view", "1", "--frames", "30"]
+        assert run_cli("synth", "--out", str(tmp_path / "a"), *args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "TRIGAIT_SEED" in err and "'abc'" in err
+        with pytest.raises(ValueError, match="TRIGAIT_SEED"):
+            self.train_config(tmp_path)
+
+    def test_comment_mentioning_seed_does_not_hide_env_seed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRIGAIT_SEED", "5")
+        cfg = self.train_config(tmp_path, config_text="# the seed comes from the env\nlr = 0.01\n")
+        assert cfg.seed == 5 and cfg.lr == 0.01
+
+    def test_flag_then_file_then_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRIGAIT_SEED", "5")
+        assert self.train_config(tmp_path).seed == 5
+        assert self.train_config(tmp_path, config_text="seed = 9\n").seed == 9
+        assert self.train_config(tmp_path, "--seed", "3", config_text="seed = 9\n").seed == 3
+        monkeypatch.delenv("TRIGAIT_SEED")
+        assert self.train_config(tmp_path).seed == 0
+
+    def test_config_file_read_once_and_closed(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TRIGAIT_SEED", "5")
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            self.train_config(tmp_path, config_text="margin = 0.3\n")
+        assert opened.count(str(tmp_path / "run.cfg")) == 1
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]

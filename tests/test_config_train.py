@@ -61,6 +61,10 @@ class TestConfig:
         problems = cfg.validate()
         assert len(problems) >= 4
 
+    def test_bad_partition_mode_reported_once(self):
+        problems = RunConfig(partition_mode="x").validate()
+        assert len([p for p in problems if "partition_mode" in p]) == 1
+
     def test_miniature_resolution(self):
         r = RunConfig(miniature=True).resolved()
         assert r.input_size == 16 and r.embed_dim == 64

@@ -8,7 +8,6 @@ from trigait.estimator import GaitEmbedder
 from trigait.validation import (
     check_joints,
     check_paired,
-    check_random_state,
     check_silhouette_frames,
 )
 
@@ -45,13 +44,6 @@ class TestValidation:
     def test_paired_length_checked(self):
         with pytest.raises(ValueError):
             check_paired(np.zeros((1, 5, 8, 8)), np.zeros((1, 4, 17, 2)))
-
-    def test_random_state_forms(self):
-        assert isinstance(check_random_state(3), np.random.Generator)
-        gen = np.random.default_rng(0)
-        assert check_random_state(gen) is gen
-        with pytest.raises(ValueError):
-            check_random_state("seedy")
 
 
 class TestEstimatorParams:

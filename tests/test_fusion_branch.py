@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trigait.checks import bruteforce_motion_rows
 from trigait.fusion import (
     PARTS,
     FusionBranch,
@@ -79,15 +80,8 @@ class TestMotionRanges:
     def test_matches_bruteforce_loops(self):
         norm = neck_normalize(walking_joints(t=8, seed=4)[0])
         got = motion_ranges(norm, h_feat=16)
-        v = norm[..., 1]
-        vmin, vmax = v.min(), v.max()
-        for p, (name, idx) in enumerate(PARTS):
-            hf = min(v[t, j] for t in range(8) for j in idx)
-            he = max(v[t, j] for t in range(8) for j in idx)
-            assert got[p].h_f == hf and got[p].h_e == he
-            lo = int(np.clip(np.floor((hf - vmin) / (vmax - vmin) * 15), 0, 15))
-            hi = int(np.clip(np.ceil((he - vmin) / (vmax - vmin) * 15), 0, 15))
-            assert got[p].row_lo == lo and got[p].row_hi == max(hi, lo)
+        want = bruteforce_motion_rows(norm, h_feat=16)
+        assert [(r.h_f, r.h_e, r.row_lo, r.row_hi) for r in got] == want
 
     def test_static_skeleton_collapses(self):
         # one static pose with a single height per part: no motion, min == max

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trigait.checks import bruteforce_batch_all
 from trigait.gradcheck import model_param_gradcheck
 from trigait.losses import cross_entropy, triplet_ba_loss
 from trigait.model import (
@@ -18,29 +19,6 @@ from trigait.tensor import Tensor
 
 def rng(seed=0):
     return np.random.default_rng(seed)
-
-
-def bruteforce_batch_all(emb, labels, margin):
-    """Exhaustive triple loop over (anchor, positive, negative) per part."""
-    n, _, parts = emb.shape
-    per_part, active, valid = [], 0, 0
-    for p in range(parts):
-        terms = []
-        for a in range(n):
-            for i in range(n):
-                if i == a or labels[i] != labels[a]:
-                    continue
-                for j in range(n):
-                    if labels[j] == labels[a]:
-                        continue
-                    d_ap = np.linalg.norm(emb[a, :, p] - emb[i, :, p])
-                    d_an = np.linalg.norm(emb[a, :, p] - emb[j, :, p])
-                    terms.append(margin + d_ap - d_an)
-        valid += len(terms)
-        act = [t for t in terms if t > 0]
-        active += len(act)
-        per_part.append(sum(act) / len(act) if act else 0.0)
-    return float(np.mean(per_part)), active / valid
 
 
 def make_batch(n_subjects=4, per_subject=2, t=5, seed=0):
@@ -213,3 +191,39 @@ class TestFullModel:
         e1 = net.forward(sils, skes).data
         e2 = net.forward(sils, skes).data
         np.testing.assert_array_equal(e1, e2)
+
+
+class TestEmbeddingRegression:
+    """Pins the miniature network's numbers on a fixed batch. The values were
+    recorded at commit 94ba9b1; a pure refactor must reproduce them. rtol
+    1e-12 rather than a digest, so a last-bit BLAS difference does not fail."""
+
+    PART_SUMS = [
+        -10.092777089868067, 57.05057921020844, 54.43484183151072, -56.57674354643526,
+        39.93212176856981, 40.40722420112285, 39.11962341952963, 42.318195888056344,
+        31.335652302541202, 32.95859233055944, 32.758763508397124,
+    ]
+    WEIGHTED_SUM = 275.6704584731685
+    ABS_SUM = 4559.036302326284
+    LOSSES = (2.2786094403354915, 0.760979875729094, 1.5176295646063975)  # total, tri, ce
+    GRAD_SQ = 87.48267227010255
+
+    def test_eval_embeddings(self):
+        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        net.eval()
+        sils, skes, _ = make_batch()
+        emb = net.forward(sils, skes).data
+        assert emb.shape == (8, 64, 11)
+        weights = rng(1).uniform(0.5, 1.5, emb.shape)
+        np.testing.assert_allclose(emb.sum(axis=(0, 1)), self.PART_SUMS, rtol=1e-12)
+        np.testing.assert_allclose((emb * weights).sum(), self.WEIGHTED_SUM, rtol=1e-12)
+        np.testing.assert_allclose(np.abs(emb).sum(), self.ABS_SUM, rtol=1e-12)
+
+    def test_train_step_loss_and_gradients(self):
+        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        sils, skes, labels = make_batch()
+        total, rep = net.loss(net.forward(sils, skes), labels)
+        total.backward()
+        np.testing.assert_allclose((rep.total, rep.l_tri, rep.l_ce), self.LOSSES, rtol=1e-12)
+        grad_sq = sum(float((p.grad ** 2).sum()) for p in net.parameters())
+        np.testing.assert_allclose(grad_sq, self.GRAD_SQ, rtol=1e-12)

@@ -22,7 +22,7 @@ def rng(seed=0):
 
 
 def tiny_cfg():
-    return SkeletonConfig(channels=(8, 8, 8, 16), heads=2, out_parts=4)
+    return SkeletonConfig(channels=(8, 8, 8, 16), heads=2)
 
 
 class TestMultiInput:
@@ -173,21 +173,21 @@ class TestAdaptivePool:
 
 class TestSkeletonBranch:
     def test_output_shape(self):
-        branch = SkeletonBranch(SkeletonConfig(), rng(27))
+        branch = SkeletonBranch(SkeletonConfig(), 16, rng(27))
         joints = rng(28).uniform(0, 64, (2, 5, 17, 2))
         gait, f_low = branch(joints)
         assert gait.shape == (2, 256, 16)
         assert f_low.shape == (2, 64, 5, 17)
 
     def test_zero_input_finite(self):
-        branch = SkeletonBranch(tiny_cfg(), rng(29))
+        branch = SkeletonBranch(tiny_cfg(), 4, rng(29))
         gait, _ = branch(np.zeros((1, 4, 17, 2)))
         assert np.isfinite(gait.data).all()
 
     def test_frame_permutation_invariance_with_tc_zeroed(self):
         # with TC disabled every stage is frame-local, so the temporal max pool
         # erases frame order; check on the block stack itself
-        branch = SkeletonBranch(tiny_cfg(), rng(30))
+        branch = SkeletonBranch(tiny_cfg(), 4, rng(30))
         for blk in branch.blocks:
             blk.tc.weight.data[...] = 0.0
             blk.tc.bias.data[...] = 0.0
@@ -205,7 +205,7 @@ class TestSkeletonBranch:
         np.testing.assert_allclose(g1, g2, atol=1e-10)
 
     def test_branch_gradcheck(self):
-        branch = SkeletonBranch(tiny_cfg(), rng(32))
+        branch = SkeletonBranch(tiny_cfg(), 4, rng(32))
         joints = rng(33).uniform(0, 64, (1, 5, 17, 2))
         err = model_param_gradcheck(
             branch, lambda: branch(joints)[0], [], n_params=6, n_coords=4

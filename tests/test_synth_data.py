@@ -250,6 +250,34 @@ class TestDatasetIO:
         assert str(path) in str(ei.value)
         assert "frame 3" in str(ei.value)
 
+    @pytest.mark.parametrize(
+        "row,reason",
+        [
+            ("0\tNM\t0\t0", "5 tab-separated columns"),
+            ("0\tNM\t0\t0\tx\textra", "5 tab-separated columns"),
+            ("0\tNM\tninety\t0\tx", "non-integer subject, view or seq_index"),
+            ("0\tNM\t1.5\t0\tx", "non-integer subject, view or seq_index"),
+            ("0\tXX\t0\t0\tx", "condition 'XX' not in NM/BG/CL"),
+            ("-1\tNM\t0\t0\tx", "negative subject, view or seq_index"),
+            ("0\tNM\t-5\t0\tx", "negative subject, view or seq_index"),
+            ("0\tNM\t0\t-2\tx", "negative subject, view or seq_index"),
+            (None, "duplicate stem"),
+        ],
+        ids=["three_columns", "six_columns", "word_view", "float_view", "unknown_condition",
+             "negative_subject", "negative_view", "negative_seq_index", "duplicate_stem"],
+    )
+    def test_malformed_manifest_row_names_path_and_line(self, tmp_path, row, reason):
+        make_tiny_dataset(tmp_path / "d")
+        manifest = tmp_path / "d" / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        # the offending row goes in as line 3, after the first record
+        lines.insert(2, lines[1] if row is None else row)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as ei:
+            read_dataset(tmp_path / "d")
+        assert f"{manifest}:3:" in str(ei.value)
+        assert reason in str(ei.value)
+
     def test_manifest_counts_match_files(self, tmp_path):
         ds = make_tiny_dataset(tmp_path / "d")
         files = list((tmp_path / "d").glob("*.tgsl"))
