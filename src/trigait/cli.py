@@ -2,8 +2,9 @@
 
 `--threads N` pins the BLAS/OpenMP pool size and must take effect before
 numpy loads, so this module defers heavy imports into the subcommand
-handlers. `--threads 1` is the fully deterministic mode. The seed comes from
-`--seed`, else (train only) the config file, else TRIGAIT_SEED, else 0.
+handlers. `--threads 1` is the fully deterministic mode. Only synth and train
+draw random numbers; their seed comes from `--seed`, else (train only) the
+config file, else TRIGAIT_SEED, else 0.
 """
 
 from __future__ import annotations
@@ -226,6 +227,11 @@ def cmd_eval(args) -> int:
                         f"{rec.stem}\t{r.name}\t{r.h_f!r}\t{r.h_e!r}\t{r.row_lo}\t{r.row_hi}\n"
                     )
 
+    probed = {r.condition for r in split.probes}
+    unprobed = [c for c in report.conditions if c not in probed]
+    if unprobed:
+        print(f"warning: no probes for {', '.join(unprobed)}; "
+              "the mean covers the other conditions", file=sys.stderr)
     for cond in report.conditions:
         print(f"{cond} {100.0 * report.condition_mean(cond):.1f}")
     print(f"Mean {100.0 * report.grand_mean():.1f}")
@@ -278,13 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="reject the checkpoint unless it matches this config")
     p.add_argument("--dump-ranges", dest="dump_ranges",
                    help="write per-sequence part ranges TSV to this path")
-    p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("check", help="run the property/oracle suite")
     p.add_argument("--only", help="run a single check group (e.g. gem, grad, rank1)")
-    p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_check)
 

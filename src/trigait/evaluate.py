@@ -83,7 +83,9 @@ class EvalReport:
         return float(np.mean(vals)) if vals else float("nan")
 
     def grand_mean(self) -> float:
-        return float(np.mean([self.condition_mean(c) for c in self.conditions]))
+        """Mean over the conditions with a scored cell; NaN only if none has one."""
+        means = [m for m in map(self.condition_mean, self.conditions) if not np.isnan(m)]
+        return float(np.mean(means)) if means else float("nan")
 
 
 def rank1(

@@ -6,6 +6,12 @@ and accumulates gradients into every ``requires_grad`` leaf. Gradients keep
 accumulating across backward calls until explicitly zeroed, matching the usual
 training-loop semantics.
 
+An op's backward function only computes: given the gradient of the op's
+output, it returns one gradient per parent, ``None`` where the parent needs
+none. A returned gradient may still carry the axes numpy broadcast the parent
+over. ``Tensor.backward`` is the one place that skips parents without
+``requires_grad``, sums broadcast axes away and accumulates into ``.grad``.
+
 All math is float64 and single-threaded-deterministic: identical inputs give
 bit-identical outputs.
 """
@@ -96,6 +102,14 @@ class Tensor:
 
     @staticmethod
     def _result(data: np.ndarray, parents: tuple["Tensor", ...], backward) -> "Tensor":
+        """Wrap an op's output as a graph node.
+
+        ``backward(g)`` maps the gradient of `data` to one gradient per entry
+        of `parents`, in order: ``None`` where that parent needs none, else an
+        array that may still carry broadcast axes. The node keeps `backward`
+        only when gradients are on and some parent requires grad, so an op
+        with one parent never needs to check ``requires_grad``.
+        """
         out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
             out.requires_grad = True
@@ -105,7 +119,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(grad)  # copy: callers may reuse their buffer
+            self.grad = np.array(grad)  # copy: grad may be a view of another node's
         else:
             self.grad += grad
 
@@ -156,34 +170,22 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+            if node._backward is None or node.grad is None:
+                continue
+            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
+                if grad is not None and parent.requires_grad:
+                    parent._accumulate(_unbroadcast(grad, parent.shape))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data + other.data
-        a, b = self, other
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-
-        return Tensor._result(data, (a, b), backward)
+        return Tensor._result(self.data + other.data, (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(-g)
-
-        return Tensor._result(-self.data, (a,), backward)
+        return Tensor._result(-self.data, (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -198,10 +200,10 @@ class Tensor:
         data = a.data * b.data
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+            return (
+                g * b.data if a.requires_grad else None,
+                g * a.data if b.requires_grad else None,
+            )
 
         return Tensor._result(data, (a, b), backward)
 
@@ -213,10 +215,10 @@ class Tensor:
         data = a.data / b.data
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            return (
+                g / b.data if a.requires_grad else None,
+                -g * a.data / (b.data * b.data) if b.requires_grad else None,
+            )
 
         return Tensor._result(data, (a, b), backward)
 
@@ -230,10 +232,10 @@ class Tensor:
         data = a.data ** e.data
 
         def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * e.data * a.data ** (e.data - 1.0), a.shape))
-            if e.requires_grad:
-                e._accumulate(_unbroadcast(g * data * np.log(a.data), e.shape))
+            return (
+                g * e.data * a.data ** (e.data - 1.0) if a.requires_grad else None,
+                g * data * np.log(a.data) if e.requires_grad else None,
+            )
 
         return Tensor._result(data, (a, e), backward)
 
@@ -245,36 +247,25 @@ class Tensor:
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = a.shape
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.reshape(old))
-
-        return Tensor._result(self.data.reshape(shape), (a,), backward)
+        old = self.shape
+        return Tensor._result(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        a = self
         inverse = tuple(np.argsort(axes))
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g.transpose(inverse))
-
-        return Tensor._result(self.data.transpose(axes), (a,), backward)
+        return Tensor._result(
+            self.data.transpose(axes), (self,), lambda g: (g.transpose(inverse),)
+        )
 
     def __getitem__(self, key):
         a = self
         data = self.data[key]
 
         def backward(g):
-            if a.requires_grad:
-                full = np.zeros_like(a.data)
-                full[key] += g
-                a._accumulate(full)
+            full = np.zeros_like(a.data)
+            full[key] += g
+            return (full,)
 
         return Tensor._result(data, (a,), backward)
 
@@ -286,11 +277,11 @@ class Tensor:
         axes = _normalize_axes(axis, self.ndim)
 
         def backward(g):
-            if a.requires_grad:
-                gg = g
-                if not keepdims and axes is not None:
-                    gg = np.expand_dims(gg, axes)
-                a._accumulate(np.broadcast_to(gg, a.shape).copy())
+            if not keepdims and axes is not None:
+                g = np.expand_dims(g, axes)
+            # copy to C order: `_accumulate` would keep the view's stride order,
+            # and downstream reductions sum in memory order
+            return (np.broadcast_to(g, a.shape).copy(),)
 
         return Tensor._result(data, (a,), backward)
 
@@ -319,54 +310,27 @@ class Tensor:
         data = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
 
         def backward(g):
-            if not a.requires_grad:
-                return
-            gg = g.reshape(kept_shape)
             scat = np.zeros_like(flat)
-            np.put_along_axis(scat, idx[..., None], gg[..., None], axis=-1)
-            full = scat.reshape(tuple(a.shape[i] for i in perm)).transpose(np.argsort(perm))
-            a._accumulate(full)
+            np.put_along_axis(scat, idx[..., None], g.reshape(kept_shape)[..., None], axis=-1)
+            return (scat.reshape(tuple(a.shape[i] for i in perm)).transpose(np.argsort(perm)),)
 
-        out_shape = kept_shape
         if keepdims:
-            out_shape = tuple(1 if i in axes else s for i, s in enumerate(self.shape))
-            data = data.reshape(out_shape)
-
-        def backward_kd(g):
-            backward(g.reshape(kept_shape))
-
-        return Tensor._result(data, (a,), backward_kd if keepdims else backward)
+            data = data.reshape(tuple(1 if i in axes else s for i, s in enumerate(self.shape)))
+        return Tensor._result(data, (a,), backward)
 
     # -- elementwise nonlinearities ---------------------------------------------
 
     def exp(self):
-        a = self
         data = np.exp(self.data)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * data)
-
-        return Tensor._result(data, (a,), backward)
+        return Tensor._result(data, (self,), lambda g: (g * data,))
 
     def log(self):
-        a = self
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g / a.data)
-
-        return Tensor._result(np.log(self.data), (a,), backward)
+        x = self.data
+        return Tensor._result(np.log(x), (self,), lambda g: (g / x,))
 
     def sqrt(self):
-        a = self
         data = np.sqrt(self.data)
-
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(g * 0.5 / data)
-
-        return Tensor._result(data, (a,), backward)
+        return Tensor._result(data, (self,), lambda g: (g * 0.5 / data,))
 
 
 def _normalize_axes(axis, ndim) -> tuple[int, ...] | None:
@@ -392,16 +356,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(int(lo), int(hi))
-                t._accumulate(g[tuple(sl)])
-
-    return Tensor._result(data, tuple(tensors), backward)
+    splits = np.cumsum(sizes[:-1])
+    return Tensor._result(data, tuple(tensors), lambda g: np.split(g, splits, axis=axis))
 
 
 def stack(tensors, axis: int = 0) -> Tensor:
@@ -419,12 +375,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.shape))
+        return (
+            g @ np.swapaxes(b.data, -1, -2) if a.requires_grad else None,
+            np.swapaxes(a.data, -1, -2) @ g if b.requires_grad else None,
+        )
 
     return Tensor._result(data, (a, b), backward)
 
@@ -450,24 +404,14 @@ def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
     data = _stable_sigmoid(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * data * (1.0 - data))
-
-    return Tensor._result(data, (x,), backward)
+    return Tensor._result(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     x = x if isinstance(x, Tensor) else Tensor(x)
     pos = x.data > 0
     data = np.where(pos, x.data, slope * x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * np.where(pos, 1.0, slope))
-
-    return Tensor._result(data, (x,), backward)
+    return Tensor._result(data, (x,), lambda g: (g * np.where(pos, 1.0, slope),))
 
 
 def relu(x: Tensor) -> Tensor:
@@ -479,12 +423,7 @@ def softplus(x: Tensor) -> Tensor:
     d = x.data
     data = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
     sig = _stable_sigmoid(d)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g * sig)
-
-    return Tensor._result(data, (x,), backward)
+    return Tensor._result(data, (x,), lambda g: (g * sig,))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -496,9 +435,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     data = e / e.sum(axis=axis, keepdims=True)
 
     def backward(g):
-        if x.requires_grad:
-            dot = (g * data).sum(axis=axis, keepdims=True)
-            x._accumulate(data * (g - dot))
+        dot = (g * data).sum(axis=axis, keepdims=True)
+        return (data * (g - dot),)
 
     return Tensor._result(data, (x,), backward)
 
@@ -519,11 +457,9 @@ def take(x: Tensor, indices, axis: int) -> Tensor:
     data = np.take(x.data, idx, axis=axis)
 
     def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            moved = np.moveaxis(full, axis, 0)
-            np.add.at(moved, idx, np.moveaxis(g, axis, 0))
-            x._accumulate(full)
+        full = np.zeros_like(x.data)
+        np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
+        return (full,)
 
     return Tensor._result(data, (x,), backward)
 
@@ -598,13 +534,13 @@ def conv(
 
     def backward(g):
         # g: (N, Cout, *out)
+        gx = gw = gb = None
         if weight.requires_grad:
             gw = np.tensordot(
                 g, win, axes=([0] + list(range(2, 2 + nd)), [0] + list(range(2, 2 + nd)))
             )  # (Cout, Cin, *k)
-            weight._accumulate(gw)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(g.sum(axis=tuple([0] + list(range(2, 2 + nd)))))
+            gb = g.sum(axis=tuple([0] + list(range(2, 2 + nd))))
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             # one GEMM for all kernel taps: (N, *out, Cin, *k)
@@ -616,13 +552,11 @@ def conv(
                     for ki, d, o, st in zip(kidx, dilation, out_sizes, stride)
                 )
                 gxp[sl] += contrib[(slice(None), slice(None)) + (slice(None),) * nd + kidx]
-            if any(padding):
-                core = (slice(None), slice(None)) + tuple(
-                    slice(p, p + s) for p, s in zip(padding, x.shape[2:])
-                )
-                x._accumulate(gxp[core])
-            else:
-                x._accumulate(gxp)
+            core = (slice(None), slice(None)) + tuple(
+                slice(p, p + s) for p, s in zip(padding, x.shape[2:])
+            )
+            gx = gxp[core]
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
     return Tensor._result(data, parents, backward)
 
@@ -671,6 +605,7 @@ def gem(x: Tensor, p: Tensor, axis: int = -1) -> Tensor:
 
     def backward(g):
         safe_m = np.where(m > 0, m, 1.0)
+        gx = gp = None
         if x.requires_grad:
             outer = np.where(m > 0, safe_m ** (1.0 / pv - 1.0), 1.0 if pv == 1.0 else 0.0)
             codata = np.expand_dims(g * outer, axis)
@@ -678,7 +613,7 @@ def gem(x: Tensor, p: Tensor, axis: int = -1) -> Tensor:
                 xpow = np.ones_like(xd)
             else:
                 xpow = np.where(xd > 0, np.where(xd > 0, xd, 1.0) ** (pv - 1.0), 0.0)
-            x._accumulate(codata * xpow / w)
+            gx = codata * xpow / w
         if p.requires_grad:
             # d/dp of exp(log(m(p))/p)
             xlogx = np.where(xd > 0, xp * np.log(np.where(xd > 0, xd, 1.0)), 0.0)
@@ -688,7 +623,8 @@ def gem(x: Tensor, p: Tensor, axis: int = -1) -> Tensor:
                 mprime / safe_m / pv - np.log(safe_m) / pv**2,
                 0.0,
             )
-            p._accumulate(np.array((g * data * dlog).sum()).reshape(p.shape))
+            gp = np.array((g * data * dlog).sum()).reshape(p.shape)
+        return gx, gp
 
     return Tensor._result(data, (x, p), backward)
 
@@ -717,12 +653,10 @@ def pairwise_part_distances(emb: Tensor) -> Tensor:
         np.fill_diagonal(m, 0.0)
 
     def backward(g):
-        if not emb.requires_grad:
-            return
         safe = np.where(data > 1e-12, data, 1.0)
         w = np.where(data > 1e-12, (g + g.transpose(0, 2, 1)) / safe, 0.0)
         ge = w.sum(axis=2)[:, :, None] * e - w @ e  # (P, N, C)
-        emb._accumulate(ge.transpose(1, 2, 0))
+        return (ge.transpose(1, 2, 0),)
 
     return Tensor._result(data, (emb,), backward)
 
@@ -765,9 +699,5 @@ def batch_all_triplet(dist: Tensor, labels: np.ndarray, margin: float):
     loss_val = total / P
     active_fraction = active / (total_valid * P)
 
-    def backward(g):
-        if dist.requires_grad:
-            dist._accumulate(float(g) * coeff)
-
-    out = Tensor._result(np.asarray(loss_val), (dist,), backward)
+    out = Tensor._result(np.asarray(loss_val), (dist,), lambda g: (float(g) * coeff,))
     return out, active_fraction

@@ -7,6 +7,7 @@ continues the exact same trajectory.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,8 @@ def build_network(config: RunConfig, num_subjects: int) -> TriGaitNet:
 
 
 def save_training_checkpoint(path, net, optimizer, iteration, config: RunConfig, num_subjects):
+    """Write the training state to `path`, replacing any previous file only
+    once the new one is complete: a crash mid-save leaves the old checkpoint."""
     tensors = {f"model.{k}": v for k, v in net.state_dict().items()}
     for p in optimizer.params:
         if p.momentum_buffer is not None:
@@ -49,7 +52,14 @@ def save_training_checkpoint(path, net, optimizer, iteration, config: RunConfig,
     tensors["__meta__.iteration"] = np.array(float(iteration))
     tensors["__meta__.num_subjects"] = np.array(float(num_subjects))
     tensors["__meta__.config_text"] = _text_to_floats(config.to_text())
-    save_checkpoint(path, tensors)
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        save_checkpoint(tmp, tensors)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -177,13 +187,33 @@ class Trainer:
         )
         return path
 
+    def _log_rows_before_iteration(self) -> list[str]:
+        """The rows of an existing log for iterations the model has already
+        run; rows a crashed run logged after its last checkpoint are dropped."""
+        if self.iteration == 0 or not self.log_path.exists():
+            return []
+        lines = self.log_path.read_text().splitlines()
+        if not lines or lines[0] != LOG_HEADER:
+            raise ValueError(f"{self.log_path}: not a training log (bad header)")
+        kept = []
+        for lineno, line in enumerate(lines[1:], start=2):
+            head = line.split("\t", 1)[0]
+            if not head.isdigit():
+                raise ValueError(f"{self.log_path}:{lineno}: bad iteration {head!r}")
+            if int(head) < self.iteration:
+                kept.append(line + "\n")
+        return kept
+
     def run(self, iterations: int | None = None, progress=None) -> Path:
-        """Train until `iterations` total steps have run; logs and checkpoints."""
+        """Train until `iterations` total steps have run; logs and checkpoints.
+
+        The log is rewritten to its rows below the current iteration, so a
+        resumed run logs each iteration once.
+        """
         target = iterations if iterations is not None else self.cfg.iterations
-        new_log = not self.log_path.exists() or self.iteration == 0
-        with open(self.log_path, "w" if new_log else "a") as log:
-            if new_log:
-                log.write(LOG_HEADER + "\n")
+        kept = self._log_rows_before_iteration()
+        with open(self.log_path, "w") as log:
+            log.write(LOG_HEADER + "\n" + "".join(kept))
             while self.iteration < target:
                 scalars = self.step()
                 it = scalars["iteration"]

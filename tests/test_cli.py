@@ -119,6 +119,19 @@ class TestTrainEval:
         )
         assert code == 1
 
+    def test_eval_warns_about_conditions_without_probes(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert run_cli("synth", "--out", str(data), "--subjects", "3", "--views", "2",
+                       "--seqs-per-view", "6", "--frames", "30", "--seed", "3") == 0
+        assert run_cli("train", "--data", str(data), "--out", str(run), "--iterations", "1",
+                       "--miniature", "--batch-subjects", "3", "--batch-sequences", "2") == 0
+        capsys.readouterr()
+        assert run_cli("eval", "--data", str(data), "--checkpoint", str(run / "model.tgck"),
+                       "--out", str(tmp_path / "e")) == 0
+        captured = capsys.readouterr()
+        assert "no probes for NM;" in captured.err
+        assert "NM nan" in captured.out and "Mean nan" not in captured.out
+
     def test_bad_dataset_path_nonzero(self, tmp_path):
         assert run_cli("train", "--data", str(tmp_path / "none"),
                        "--out", str(tmp_path / "o"), "--iterations", "1") == 1
@@ -161,7 +174,8 @@ class TestMisc:
                 build_parser().parse_args([sub, "--help"])
             assert ei.value.code == 0
             text = capsys.readouterr().out
-            assert "--seed" in text and "--threads" in text
+            assert "--threads" in text
+            assert ("--seed" in text) == (sub in ("synth", "train"))
 
     def test_env_seed_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIGAIT_SEED", "77")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trigait.checkpoint import save_checkpoint
 from trigait.config import RunConfig, load_config, parse_config_text
 from trigait.data import read_dataset
 from trigait.train import LOG_HEADER, Trainer, load_training_checkpoint
@@ -122,6 +123,52 @@ class TestTrainer:
         assert resumed.iteration == 2
         final = resumed.run()
         assert final.read_bytes() == straight.read_bytes()
+
+    def test_resume_after_crash_matches_straight_run_bytes(self, dataset, tmp_path):
+        cfg = fast_config(iterations=6, checkpoint_every=3)
+        Trainer(dataset, cfg, tmp_path / "s").run()
+
+        def crash_after_iteration_4(scalars):
+            if scalars["iteration"] == 4:
+                raise RuntimeError("killed")
+
+        crashed = tmp_path / "c"
+        with pytest.raises(RuntimeError, match="killed"):
+            Trainer(dataset, cfg, crashed).run(progress=crash_after_iteration_4)
+        resumed = Trainer(dataset, cfg, crashed, resume=crashed / "model.tgck")
+        assert resumed.iteration == 3
+        resumed.run()
+        for name in ("train_log.tsv", "model.tgck"):
+            assert (crashed / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+
+    @pytest.mark.parametrize("text,message", [
+        ("iter\tlr\n", "train_log.tsv: not a training log"),
+        (LOG_HEADER + "\n0\t0.1\nx\t0.1\n", "train_log.tsv:3: bad iteration 'x'"),
+    ])
+    def test_resume_rejects_malformed_log(self, dataset, tmp_path, text, message):
+        trainer = Trainer(dataset, fast_config(), tmp_path / "run")
+        trainer.iteration = 2
+        trainer.log_path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            trainer.run()
+
+    def test_failed_save_keeps_previous_checkpoint(self, dataset, tmp_path, monkeypatch):
+        trainer = Trainer(dataset, fast_config(), tmp_path / "run")
+        path = trainer.save()
+        before = path.read_bytes()
+
+        def half_save(target, tensors):
+            save_checkpoint(target, tensors)
+            with open(target, "r+b") as fh:
+                fh.truncate(len(before) // 2)
+            raise OSError("disk full")
+
+        monkeypatch.setattr("trigait.train.save_checkpoint", half_save)
+        with pytest.raises(OSError):
+            trainer.save()
+        assert path.read_bytes() == before
+        assert load_training_checkpoint(path).iteration == 0
+        assert sorted(p.name for p in path.parent.iterdir()) == ["model.tgck"]
 
     def test_config_mismatch_rejected_with_both_hashes(self, dataset, tmp_path):
         ck = Trainer(dataset, fast_config(), tmp_path / "run").run()

@@ -211,6 +211,19 @@ class TestReportEmission:
         assert set(summary) == {"NM", "BG", "CL", "MEAN"}
         assert float(summary["MEAN"][-1]) == 100.0 * rep.grand_mean()
 
+    def test_unprobed_condition_left_out_of_grand_mean(self):
+        rep = self.make_report()
+        rep.rank1["NM"] = np.full((11, 11), np.nan)
+        assert np.isnan(rep.condition_mean("NM"))
+        expected = np.mean([rep.condition_mean("BG"), rep.condition_mean("CL")])
+        assert rep.grand_mean() == expected
+        mean_line = emit_report(rep, "tsv").splitlines()[-1]
+        assert mean_line.startswith("summary\tMEAN")
+        assert float(mean_line.split("\t")[-1]) == 100.0 * expected
+        for cond in ("BG", "CL"):
+            rep.rank1[cond] = np.full((11, 11), np.nan)
+        assert np.isnan(rep.grand_mean())
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             emit_report(self.make_report(), "yaml")

@@ -275,6 +275,15 @@ class TestBackwardSemantics:
             y = x * 2
         assert not y.requires_grad
 
+    def test_backward_unbroadcasts_returned_grads_and_skips_none(self):
+        bias = Tensor(np.zeros(3), requires_grad=True)
+        other = Tensor(np.zeros(3), requires_grad=True)
+        g_bias = rng(15).standard_normal((4, 3))
+        node = Tensor._result(np.zeros(()), (bias, other), lambda g: (g * g_bias, None))
+        node.backward()
+        np.testing.assert_array_equal(bias.grad, g_bias.sum(axis=0))
+        assert other.grad is None
+
 
 class TestGem:
     def test_p1_equals_average(self):
