@@ -22,6 +22,7 @@ from .tensor import (
     conv,
     gem,
     linear,
+    normalize,
     pairwise_part_distances,
     pool,
     sigmoid,
@@ -62,13 +63,16 @@ def _grad_conv():
         assert err < 1e-4, f"conv gradcheck err {err:.2e}"
 
 
-@check("grad", "linear/batch_norm/softmax/sigmoid/gem vs finite differences")
+@check("grad", "linear/batch_norm/normalize/softmax/sigmoid/gem vs finite differences")
 def _grad_core_ops():
-    r = _rng(2)
+    r, n = _rng(2), _rng(17)  # normalize draws from n, so r's inputs to the other ops do not shift
     checks = [
         (lambda x, w, b: linear(x, w, b),
          [r.uniform(-1, 1, (4, 3)), r.uniform(-1, 1, (3, 2)), r.uniform(-1, 1, 2)]),
         (lambda x: batch_norm_stats(x, (0, 2), 1e-5)[2], [r.uniform(-1, 1, (3, 2, 4))]),
+        (lambda x, g, b: normalize(x, g, b, (0, 2), 1e-5)[0],
+         [n.uniform(-1, 1, (3, 2, 4)), n.uniform(0.5, 1.5, (1, 2, 1)),
+          n.uniform(-1, 1, (1, 2, 1))]),
         (lambda x: softmax(x, axis=1), [r.uniform(-2, 2, (3, 5))]),
         (lambda x: sigmoid(x), [r.uniform(-3, 3, (4, 4))]),
         (lambda x, p: gem(x, p, axis=1), [r.uniform(0.1, 2, (3, 6)), np.array(1.8)]),

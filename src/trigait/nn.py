@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, batch_norm_stats, gem, softplus
+from .tensor import Tensor, gem, normalize, softplus
 
 
 class Parameter(Tensor):
@@ -200,23 +200,20 @@ class BatchNorm(Module):
             )
         axes = (0,) + tuple(range(2, x.ndim))
         cshape = (1, -1) + (1,) * (x.ndim - 2)
+        gamma, beta = self.gamma.reshape(cshape), self.beta.reshape(cshape)
         if self.training:
             count = int(np.prod([x.shape[a] for a in axes]))
             if count == 0:
                 raise ValueError("batch_norm: zero-size batch in train mode")
-            mu, var, xhat = batch_norm_stats(x, axes, self.eps)
+            out, mu, var = normalize(x, gamma, beta, axes, self.eps)
             m = self.momentum
-            self._set_buffer(
-                "running_mean", (1 - m) * self.running_mean + m * mu.data.reshape(-1)
-            )
-            self._set_buffer(
-                "running_var", (1 - m) * self.running_var + m * var.data.reshape(-1)
-            )
-        else:
-            mu = Tensor(self.running_mean.reshape(cshape))
-            std = np.sqrt(self.running_var + self.eps).reshape(cshape)
-            xhat = (x - mu) * Tensor(1.0 / std)
-        return xhat * self.gamma.reshape(cshape) + self.beta.reshape(cshape)
+            self._set_buffer("running_mean", (1 - m) * self.running_mean + m * mu.reshape(-1))
+            self._set_buffer("running_var", (1 - m) * self.running_var + m * var.reshape(-1))
+            return out
+        mu = Tensor(self.running_mean.reshape(cshape))
+        std = np.sqrt(self.running_var + self.eps).reshape(cshape)
+        xhat = (x - mu) * Tensor(1.0 / std)
+        return xhat * gamma + beta
 
 
 class LayerNorm(Module):
@@ -229,8 +226,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        _, _, xhat = batch_norm_stats(x, (x.ndim - 1,), self.eps)
-        return xhat * self.gamma + self.beta
+        return normalize(x, self.gamma, self.beta, (x.ndim - 1,), self.eps)[0]
 
 
 class GeMPool(Module):

@@ -3,14 +3,24 @@
 Every feature map in the network is carried by a :class:`Tensor`. Ops build a
 computation graph; ``Tensor.backward()`` walks it in reverse topological order
 and accumulates gradients into every ``requires_grad`` leaf. Gradients keep
-accumulating across backward calls until explicitly zeroed, matching the usual
-training-loop semantics.
+accumulating in a leaf's ``.grad`` across backward calls until explicitly
+zeroed, matching the usual training-loop semantics.
+
+A graph supports one ``backward()``. As it runs, each intermediate node is
+freed as soon as its gradients have gone to its parents: its ``.grad``,
+parents and backward function are dropped, so a step's activations are
+released during backward rather than after it. Intermediates therefore keep
+no ``.grad``, and a second ``backward()`` through a freed node raises
+``RuntimeError``.
 
 An op's backward function only computes: given the gradient of the op's
 output, it returns one gradient per parent, ``None`` where the parent needs
 none. A returned gradient may still carry the axes numpy broadcast the parent
 over. ``Tensor.backward`` is the one place that skips parents without
 ``requires_grad``, sums broadcast axes away and accumulates into ``.grad``.
+
+``normalize`` is the one fused op: train-mode BatchNorm and LayerNorm as a
+single graph node with a closed-form backward.
 
 All math is float64 and single-threaded-deterministic: identical inputs give
 bit-identical outputs.
@@ -32,6 +42,7 @@ __all__ = [
     "conv",
     "linear",
     "batch_norm_stats",
+    "normalize",
     "softmax",
     "sigmoid",
     "leaky_relu",
@@ -117,9 +128,12 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add `grad` into ``.grad``. The first gradient is copied unless
+        `owned` says no other array or node holds it, so later ``+=`` writes
+        cannot reach anyone else's memory."""
         if self.grad is None:
-            self.grad = np.array(grad)  # copy: grad may be a view of another node's
+            self.grad = grad if owned else np.array(grad)
         else:
             self.grad += grad
 
@@ -150,7 +164,11 @@ class Tensor:
     # -- backward ----------------------------------------------------------
 
     def backward(self) -> None:
-        """Backpropagate from a scalar; accumulates into leaf ``.grad``."""
+        """Backpropagate from a scalar; accumulates into leaf ``.grad``.
+
+        Frees the graph as it goes (see the module docstring): afterwards only
+        leaves hold gradients, and the graph cannot be backpropagated again.
+        """
         if self.size != 1:
             raise ShapeError(f"backward() needs a scalar loss, got shape {self.shape}")
         topo: list[Tensor] = []
@@ -168,13 +186,36 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in seen:
                     stack.append((p, False))
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is None or node.grad is None:
-                continue
-            for parent, grad in zip(node._parents, node._backward(node.grad), strict=True):
-                if grad is not None and parent.requires_grad:
-                    parent._accumulate(_unbroadcast(grad, parent.shape))
+        self._accumulate(np.ones_like(self.data), owned=True)
+        # pop, so each node is released once its children have run
+        while topo:
+            topo.pop()._backprop()
+
+    def _backprop(self) -> None:
+        """Hand this node's gradient to its parents, then free the node.
+
+        A parent takes a returned gradient as its ``.grad`` without a copy
+        only when nothing else can see that array: it is not this node's own
+        ``.grad`` (``__add__`` returns ``(g, g)``), not a view, and not
+        returned twice in one tuple. A numpy scalar is copied into a 0-d
+        array, so ``.grad`` is always an ndarray.
+        """
+        if self._backward is None:
+            return  # a leaf keeps its .grad
+        if self.grad is not None:
+            grads = self._backward(self.grad)
+            for parent, grad in zip(self._parents, grads, strict=True):
+                if grad is None or not parent.requires_grad:
+                    continue
+                grad = _unbroadcast(grad, parent.shape)
+                owned = (
+                    type(grad) is np.ndarray
+                    and grad.base is None
+                    and grad is not self.grad
+                    and sum(other is grad for other in grads) < 2
+                )
+                parent._accumulate(grad, owned)
+        self.grad, self._parents, self._backward = None, (), _freed_backward
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -331,6 +372,10 @@ class Tensor:
     def sqrt(self):
         data = np.sqrt(self.data)
         return Tensor._result(data, (self,), lambda g: (g * 0.5 / data,))
+
+
+def _freed_backward(g):
+    raise RuntimeError("backward through a graph that was already freed")
 
 
 def _normalize_axes(axis, ndim) -> tuple[int, ...] | None:
@@ -562,7 +607,7 @@ def conv(
 
 
 # ---------------------------------------------------------------------------
-# batch normalization statistics helper
+# normalization
 # ---------------------------------------------------------------------------
 
 
@@ -573,6 +618,42 @@ def batch_norm_stats(x: Tensor, axes: tuple[int, ...], eps: float):
     var = (centered * centered).mean(axis=axes, keepdims=True)
     xhat = centered / (var + eps).sqrt()
     return mu, var, xhat
+
+
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float):
+    """Fused normalization ``xhat * gamma + beta`` as one graph node, with
+    ``xhat`` standardized over `axes` by the biased batch statistics.
+
+    Train-mode BatchNorm passes gamma and beta shaped (1, C, 1, ...) and the
+    non-channel axes; LayerNorm passes (C,) and the last axis. Returns
+    ``(out, mean, var)``; mean and var are plain arrays with `axes` kept, for
+    running statistics. The forward repeats `batch_norm_stats` step for step,
+    so all three equal the composite's bit for bit. The backward is the
+    closed form (Ioffe & Szegedy, 2015) with ``gh = g * gamma``:
+    ``gx = (gh - mean(gh) - xhat * mean(gh * xhat)) / std``; it keeps only
+    ``xhat`` and ``std``.
+    """
+    axes = _normalize_axes(axes, x.ndim)
+    scale = 1.0 / int(np.prod([x.shape[a] for a in axes]))
+    mean = x.data.sum(axis=axes, keepdims=True) * scale
+    centered = x.data - mean
+    var = (centered * centered).sum(axis=axes, keepdims=True) * scale
+    std = np.sqrt(var + eps)
+    xhat = centered / std
+    data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        gx = None
+        if x.requires_grad:
+            gh = g * gamma.data
+            gx = (
+                gh
+                - gh.mean(axis=axes, keepdims=True)
+                - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
+            ) / std
+        return gx, g * xhat if gamma.requires_grad else None, g
+
+    return Tensor._result(data, (x, gamma, beta), backward), mean, var
 
 
 # ---------------------------------------------------------------------------

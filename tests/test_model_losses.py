@@ -1,5 +1,7 @@
 """Assembly, combined loss, and whole-model behaviour."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,24 @@ class TestEmbeddingRegression:
         np.testing.assert_allclose((rep.total, rep.l_tri, rep.l_ce), self.LOSSES, rtol=1e-12)
         grad_sq = sum(float((p.grad ** 2).sum()) for p in net.parameters())
         np.testing.assert_allclose(grad_sq, self.GRAD_SQ, rtol=1e-12)
+
+
+class TestBackwardMemory:
+    """Backward frees the graph as it runs. tracemalloc counts numpy's
+    buffers, so the bounds are in traced bytes: no wall clock, no RSS."""
+
+    def test_backward_peak_and_bytes_left(self):
+        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        sils, skes, labels = make_batch()  # N=8, T=5
+        tracemalloc.start()
+        try:
+            total, _ = net.loss(net.forward(sils, skes), labels)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            total.backward()
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the graph held after the loss, ~34 MiB here, is the scale
+        assert peak <= 1.15 * held, f"backward peak {peak / held:.2f}x the forward's bytes"
+        assert left <= 4 * 2**20, f"{left / 2**20:.1f} MiB still held after backward"

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from trigait.checkpoint import load_checkpoint, save_checkpoint
-from trigait.gradcheck import gradcheck
+from trigait.gradcheck import gradcheck, model_param_gradcheck
 from trigait.nn import BatchNorm, GeMPool, LayerNorm, Linear, Module, ModuleList, Parameter
 from trigait.optim import SGD
-from trigait.tensor import Tensor
+from trigait.tensor import Tensor, batch_norm_stats
 
 
 def rng(seed=0):
@@ -90,19 +90,32 @@ class TestBatchNorm:
 
     def test_gradcheck_through_layer(self):
         bn = BatchNorm(3)
-
-        def fn(x, g, b):
-            bn.gamma.data[...] = g.data
-            bn.beta.data[...] = b.data
-            mu, var, xhat = None, None, None
-            from trigait.tensor import batch_norm_stats
-
-            _, _, xhat = batch_norm_stats(x, (0, 2), 1e-5)
-            return xhat * g.reshape(1, 3, 1) + b.reshape(1, 3, 1)
-
         r = rng(3)
-        err = gradcheck(fn, [r.uniform(-1, 1, (4, 3, 2)), np.ones(3), np.zeros(3)])
+        bn.gamma.data[...] = r.uniform(0.5, 1.5, 3)
+        bn.beta.data[...] = r.uniform(-1, 1, 3)
+        err = model_param_gradcheck(
+            bn, lambda x: bn(x), [r.uniform(-1, 1, (4, 3, 2))], n_params=2, n_coords=3
+        )
         assert err < 1e-4
+
+    def test_train_steps_keep_composite_running_buffers(self):
+        # reference: the batch statistics of `batch_norm_stats`, folded in
+        # with the layer's momentum arithmetic
+        bn = BatchNorm(3)
+        opt = SGD(list(bn.parameters()), lr=0.1)
+        r = rng(5)
+        m = bn.momentum
+        mean_ref, var_ref = np.zeros(3), np.ones(3)
+        for _ in range(2):
+            x = r.standard_normal((6, 3, 4, 2)) * 2 + 1
+            bn.zero_grad()
+            (bn(Tensor(x)) * Tensor(r.standard_normal(x.shape))).sum().backward()
+            opt.step()
+            mu, var, _ = batch_norm_stats(Tensor(x), (0, 2, 3), bn.eps)
+            mean_ref = (1 - m) * mean_ref + m * mu.data.reshape(-1)
+            var_ref = (1 - m) * var_ref + m * var.data.reshape(-1)
+            np.testing.assert_array_equal(bn.running_mean, mean_ref)
+            np.testing.assert_array_equal(bn.running_var, var_ref)
 
 
 class TestLayerNorm:

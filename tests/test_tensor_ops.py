@@ -16,6 +16,7 @@ from trigait.tensor import (
     linear,
     matmul,
     no_grad,
+    normalize,
     pairwise_part_distances,
     pool,
     sigmoid,
@@ -159,6 +160,52 @@ class TestBatchNormStats:
         assert err < 1e-4
 
 
+class TestNormalize:
+    """The fused op against the composite it replaces: `batch_norm_stats`
+    followed by the affine step."""
+
+    CASES = {
+        "batch_norm": ((4, 3, 5, 2), (0, 2, 3), (1, 3, 1, 1)),
+        "layer_norm": ((4, 5, 6), (2,), (6,)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_composite(self, case):
+        shape, axes, cshape = self.CASES[case]
+        r = rng(21)
+        x, w = r.standard_normal(shape) * 2 + 0.5, r.standard_normal(shape)
+        gamma, beta = r.uniform(0.5, 1.5, cshape), r.uniform(-1, 1, cshape)
+
+        def leaves():
+            return [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+
+        xt, gt, bt = leaves()
+        out, mean, var = normalize(xt, gt, bt, axes, 1e-5)
+        xr, gr, br = leaves()
+        mu_ref, var_ref, xhat_ref = batch_norm_stats(xr, axes, 1e-5)
+        ref = xhat_ref * gr + br
+        np.testing.assert_array_equal(out.data, ref.data)
+        np.testing.assert_array_equal(mean, mu_ref.data)
+        np.testing.assert_array_equal(var, var_ref.data)
+        (out * Tensor(w)).sum().backward()
+        (ref * Tensor(w)).sum().backward()
+        for got, want in ((xt, xr), (gt, gr), (bt, br)):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_gradcheck(self, case):
+        shape, axes, cshape = self.CASES[case]
+        r = rng(22)
+        inputs = [r.uniform(-1, 1, shape), r.uniform(0.5, 1.5, cshape), r.uniform(-1, 1, cshape)]
+        err = gradcheck(lambda xt, gt, bt: normalize(xt, gt, bt, axes, 1e-5)[0], inputs)
+        assert err < 1e-4
+
+    def test_one_graph_node(self):
+        x, g, b = (Tensor(a, requires_grad=True) for a in (np.eye(3), np.ones(3), np.zeros(3)))
+        out = normalize(x, g, b, (1,), 1e-5)[0]
+        assert out._parents == (x, g, b)
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = softmax(Tensor([1.0, 1.0]), axis=0)
@@ -274,6 +321,45 @@ class TestBackwardSemantics:
         with no_grad():
             y = x * 2
         assert not y.requires_grad
+
+    def test_second_backward_raises_and_frees_intermediates(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = x * 3
+        z = (y * y).sum()
+        z.backward()
+        np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+        assert y.grad is None and z.grad is None
+        with pytest.raises(RuntimeError, match="already freed"):
+            z.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            (y * 2).sum().backward()
+        np.testing.assert_array_equal(x.grad, [18.0, 36.0])
+
+    @pytest.mark.parametrize("op, expected", [
+        (lambda x: x + x, lambda x, w: 2 * w),
+        (lambda x: x * x, lambda x, w: 2 * w * x),
+        (lambda x: concat([x, x]), lambda x, w: w[:3] + w[3:]),
+    ])
+    def test_gradient_of_repeated_parent(self, op, expected):
+        x = Tensor(rng(16).standard_normal(3), requires_grad=True)
+        y = op(x)
+        w = rng(17).standard_normal(y.shape)
+        (y * Tensor(w)).sum().backward()
+        np.testing.assert_array_equal(x.grad, expected(x.data, w))
+
+    @pytest.mark.parametrize("grads", [
+        lambda g, w: (g, g),  # this node's own grad, as __add__ returns it
+        lambda g, w: (g * w,) * 2,  # one fresh array returned twice
+        lambda g, w: (lambda t: (t, t[:]))(g * w),  # a fresh array and a view of it
+    ])
+    def test_first_gradients_never_share_memory(self, grads):
+        a = Tensor(np.zeros(3), requires_grad=True)
+        b = Tensor(np.zeros(3), requires_grad=True)
+        w = rng(18).standard_normal(3)
+        node = Tensor._result(np.zeros(3), (a, b), lambda g: grads(g, w))
+        (node * Tensor(np.ones(3))).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        np.testing.assert_array_equal(a.grad, b.grad)
 
     def test_backward_unbroadcasts_returned_grads_and_skips_none(self):
         bias = Tensor(np.zeros(3), requires_grad=True)
