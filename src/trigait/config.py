@@ -120,6 +120,10 @@ class RunConfig:
             errors.append(f"threads must be >= 0, got {r.threads}")
         if r.eval_max_frames < 0:
             errors.append(f"eval_max_frames must be >= 0, got {r.eval_max_frames}")
+        for key, preset in self.MINIATURE_OVERRIDES.items():
+            given = getattr(self, key)
+            if self.miniature and given not in (getattr(RunConfig, key), preset):
+                errors.append(f"{key} = {given} conflicts with the miniature preset's {preset}")
         errors.extend(r.model_config(num_subjects=2).validate())
         return errors
 

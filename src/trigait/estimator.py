@@ -68,7 +68,7 @@ class GaitEmbedder:
         return self
 
     def _run_config(self) -> RunConfig:
-        cfg = RunConfig(
+        return RunConfig(
             iterations=self.iterations,
             lr=self.lr,
             lr_drop_iteration=max(self.iterations // 2, 1),
@@ -78,11 +78,9 @@ class GaitEmbedder:
             partition_mode=self.partition_mode,
             batch_subjects=self.batch_subjects,
             batch_sequences=self.batch_sequences,
+            batch_frames=self.batch_frames,
             seed=self.seed,
         )
-        if not self.miniature:
-            cfg.batch_frames = self.batch_frames
-        return cfg
 
     # -- estimator API ---------------------------------------------------------
 

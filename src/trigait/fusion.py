@@ -17,8 +17,8 @@ import numpy as np
 
 from .nn import LayerNorm, Linear, Module
 from .skeleton import attention_over_axis
-from .synth import L_HIP, L_SHO, R_HIP, R_SHO
-from .tensor import Tensor, concat, relu, stack, take
+from .synth import L_HIP, L_SHO, NUM_JOINTS, R_HIP, R_SHO
+from .tensor import Tensor, concat, matmul, relu
 
 PARTS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("head", (0, 1, 2, 3, 4)),
@@ -31,6 +31,9 @@ PARTS: tuple[tuple[str, tuple[int, ...]], ...] = (
 )
 
 NUM_PARTS = len(PARTS)
+
+# (17, 7): joint j belongs to part p
+JOINT_MEMBERSHIP = np.array([[j in idx for _, idx in PARTS] for j in range(NUM_JOINTS)])
 
 _EXCLUDED = 1e30
 
@@ -123,6 +126,15 @@ def uniform_row_ranges(h_feat: int, n: int) -> np.ndarray:
     return np.broadcast_to(rows, (n, NUM_PARTS, 2)).copy()
 
 
+def _part_max_plus_mean(maxes: Tensor, means: Tensor, member: np.ndarray) -> Tensor:
+    """Per part, max of `maxes` plus mean of `means` over its members: (N, C, T, L) maps and
+    (N or 1, 7, L) bool membership -> (N, C, T, 7). Non-members get -1e30, members + 0.0."""
+    gate = Tensor(np.where(member, 0.0, -_EXCLUDED)[:, None, None])  # (n, 1, 1, 7, L)
+    part_max = (maxes.reshape(maxes.shape[:3] + (1, -1)) + gate).max(axis=4)
+    weights = (member / member.sum(axis=2, keepdims=True)).swapaxes(1, 2)  # (n, L, 7)
+    return part_max + matmul(means, Tensor(weights[:, None]))
+
+
 def cross_modal_tokens(f_x: Tensor, f_y: Tensor, row_ranges: np.ndarray) -> Tensor:
     """Build aligned part tokens.
 
@@ -131,28 +143,19 @@ def cross_modal_tokens(f_x: Tensor, f_y: Tensor, row_ranges: np.ndarray) -> Tens
     Each part pools its support with max + avg (summed) on both sides and
     concatenates over channels -> (N, C1+C2, T, 7).
     """
-    n, c1, t, hf, wf = f_x.shape
+    n, _, t, hf, _ = f_x.shape
     if f_y.shape[0] != n or f_y.shape[2] != t:
         raise ValueError(f"cross_modal_tokens: misaligned inputs {f_x.shape} vs {f_y.shape}")
     if row_ranges.shape != (n, NUM_PARTS, 2):
         raise ValueError(f"cross_modal_tokens: row_ranges shape {row_ranges.shape}")
     rows = np.arange(hf)
-    tokens = []
-    for p, (_, idx) in enumerate(PARTS):
-        lo = row_ranges[:, p, 0][:, None]
-        hi = row_ranges[:, p, 1][:, None]
-        mask = (rows[None, :] >= lo) & (rows[None, :] <= hi)  # (N, Hf)
-        if not mask.any(axis=1).all():
-            raise ValueError(f"cross_modal_tokens: empty row range for part {p}")
-        m = mask[:, None, None, :, None].astype(np.float64)
-        count = mask.sum(axis=1).astype(np.float64) * wf
-        x_avg = (f_x * Tensor(m)).sum(axis=(3, 4)) * Tensor((1.0 / count)[:, None, None])
-        x_max = (f_x + Tensor((m - 1.0) * _EXCLUDED)).max(axis=(3, 4))
-        y_part = take(f_y, list(idx), axis=3)
-        y_avg = y_part.mean(axis=3)
-        y_max = y_part.max(axis=3)
-        tokens.append(concat([x_max + x_avg, y_max + y_avg], axis=1))  # (N, C1+C2, T)
-    return stack(tokens, axis=3)
+    member = (rows >= row_ranges[..., :1]) & (rows <= row_ranges[..., 1:])  # (N, 7, Hf)
+    empty = np.flatnonzero(~member.any(axis=2).all(axis=0))
+    if empty.size:
+        raise ValueError(f"cross_modal_tokens: empty row range for part {empty[0]}")
+    x_tok = _part_max_plus_mean(f_x.max(axis=4), f_x.mean(axis=4), member)
+    y_tok = _part_max_plus_mean(f_y, f_y, JOINT_MEMBERSHIP.T[None])
+    return concat([x_tok, y_tok], axis=1)
 
 
 class TransformerEncoderLayer(Module):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .nn import BatchNorm, Conv, Linear, Module, ModuleList
 from .synth import NUM_JOINTS, PARENTS
-from .tensor import Tensor, leaky_relu, matmul, softmax, stack
+from .tensor import Tensor, leaky_relu, matmul, softmax
 
 LEAK = 0.01
 
@@ -109,18 +109,13 @@ class JsaTcBlock(Module):
         return z + res
 
 
-def adaptive_avg_pool_axis(x: Tensor, out_size: int, axis: int) -> Tensor:
-    """Adaptive average pooling: window i covers [floor(i*n/m), ceil((i+1)*n/m))."""
-    axis = axis % x.ndim
-    n = x.shape[axis]
-    pieces = []
-    for i in range(out_size):
-        lo = (i * n) // out_size
-        hi = -(-((i + 1) * n) // out_size)  # ceil division
-        sl = [slice(None)] * x.ndim
-        sl[axis] = slice(lo, hi)
-        pieces.append(x[tuple(sl)].mean(axis=axis))
-    return stack(pieces, axis=axis)
+def adaptive_avg_pool_axis(x: Tensor, out_size: int) -> Tensor:
+    """Adaptive average pooling of the last axis, as one product with an (n, m)
+    averaging matrix: window i covers [floor(i*n/m), ceil((i+1)*n/m))."""
+    n, i = x.shape[-1], np.arange(out_size)
+    lo, hi = (i * n) // out_size, -(-((i + 1) * n) // out_size)  # ceil division
+    inside = (np.arange(n)[:, None] >= lo) & (np.arange(n)[:, None] < hi)
+    return matmul(x, Tensor(inside / (hi - lo)))
 
 
 @dataclass
@@ -168,5 +163,5 @@ class SkeletonBranch(Module):
             if first is None:
                 first = h
         f_ske = h.max(axis=2)  # temporal max pool -> (N, C, K)
-        gait_ske = adaptive_avg_pool_axis(f_ske, self.parts, axis=2)
+        gait_ske = adaptive_avg_pool_axis(f_ske, self.parts)
         return gait_ske, first

@@ -305,7 +305,7 @@ class Tensor:
 
         def backward(g):
             full = np.zeros_like(a.data)
-            full[key] += g
+            np.add.at(full, key, g)
             return (full,)
 
         return Tensor._result(data, (a,), backward)

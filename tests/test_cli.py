@@ -132,6 +132,12 @@ class TestTrainEval:
         assert "no probes for NM;" in captured.err
         assert "NM nan" in captured.out and "Mean nan" not in captured.out
 
+    def test_miniature_conflict_rejected(self, small_dataset, tmp_path, capsys):
+        assert run_cli("train", "--data", str(small_dataset), "--out", str(tmp_path / "r"),
+                       "--miniature", "--batch-frames", "12") == 1
+        err = capsys.readouterr().err
+        assert "batch_frames = 12 conflicts with the miniature preset's 5" in err
+
     def test_bad_dataset_path_nonzero(self, tmp_path):
         assert run_cli("train", "--data", str(tmp_path / "none"),
                        "--out", str(tmp_path / "o"), "--iterations", "1") == 1

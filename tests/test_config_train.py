@@ -66,6 +66,15 @@ class TestConfig:
         problems = RunConfig(partition_mode="x").validate()
         assert len([p for p in problems if "partition_mode" in p]) == 1
 
+    def test_miniature_conflicts_reported_per_key(self):
+        problems = RunConfig(miniature=True, batch_frames=12, embed_dim=32).validate()
+        assert problems == [
+            "embed_dim = 32 conflicts with the miniature preset's 64",
+            "batch_frames = 12 conflicts with the miniature preset's 5",
+        ]
+        assert RunConfig(miniature=True).resolved().validate() == []
+        assert RunConfig(batch_frames=12, embed_dim=32).validate() == []
+
     def test_miniature_resolution(self):
         r = RunConfig(miniature=True).resolved()
         assert r.input_size == 16 and r.embed_dim == 64

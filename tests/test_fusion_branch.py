@@ -177,6 +177,48 @@ class TestCrossModalTokens:
         )
         assert err < 1e-4
 
+    def test_gradcheck_per_sample_overlapping_motion_rows(self):
+        from trigait.gradcheck import gradcheck
+
+        joints = np.concatenate([walking_joints(t=6, seed=31), walking_joints(t=6, seed=32)])
+        rows = motion_row_ranges(neck_normalize(joints), 8)
+        assert (rows[0] != rows[1]).any()
+        h = np.arange(8)[:, None, None]
+        assert ((h >= rows[..., 0]) & (h <= rows[..., 1])).sum(axis=2).max() > 1  # overlaps
+        err = gradcheck(
+            lambda fx, fy: cross_modal_tokens(fx, fy, rows),
+            [rng(33).uniform(0, 1, (2, 2, 2, 8, 3)), rng(34).standard_normal((2, 2, 2, 17))],
+        )
+        assert err < 1e-4
+
+    def test_max_ties_route_to_first_rowmajor_member(self):
+        fx = np.zeros((1, 1, 1, 6, 3))
+        fx[0, 0, 0, [1, 5]] = 9.0                       # larger, but outside rows 2-4
+        fx[0, 0, 0, [2, 3, 4], [2, 0, 1]] = 5.0         # tied maxima inside
+        fy = np.zeros((1, 1, 1, 17))
+        fy[0, 0, 0, 5] = 9.0                            # a shoulder joint, outside the head
+        fy[0, 0, 0, [1, 3]] = 5.0                       # tied head joints
+        rows = np.array([[[0, 0], [0, 1], [1, 1], [2, 4], [3, 5], [4, 5], [5, 5]]])
+        f_x, f_y = Tensor(fx, requires_grad=True), Tensor(fy, requires_grad=True)
+        tokens = cross_modal_tokens(f_x, f_y, rows)     # (1, 2, 1, 7)
+        (tokens[0, 0, 0, 3] + tokens[0, 1, 0, 0]).backward()
+        gx = np.zeros((6, 3))
+        gx[2:5] = 1.0 / 9.0
+        gx[2, 2] += 1.0
+        np.testing.assert_allclose(f_x.grad[0, 0, 0], gx, rtol=0, atol=1e-15)
+        gy = np.zeros(17)
+        gy[:5] = 0.2
+        gy[1] += 1.0
+        np.testing.assert_allclose(f_y.grad[0, 0, 0], gy, rtol=0, atol=1e-15)
+
+    def test_empty_row_range_names_part(self):
+        rows = uniform_row_ranges(8, 2)
+        rows[1, 4] = (5, 4)
+        with pytest.raises(ValueError, match="empty row range for part 4"):
+            cross_modal_tokens(
+                Tensor(np.zeros((2, 1, 1, 8, 2))), Tensor(np.zeros((2, 1, 1, 17))), rows
+            )
+
 
 class TestTransformerLayer:
     def test_token_permutation_equivariance(self):

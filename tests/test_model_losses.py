@@ -1,11 +1,14 @@
 """Assembly, combined loss, and whole-model behaviour."""
 
+import importlib.util
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from trigait.checks import bruteforce_batch_all
+from trigait.fusion import cross_modal_tokens, uniform_row_ranges
 from trigait.gradcheck import model_param_gradcheck
 from trigait.losses import cross_entropy, triplet_ba_loss
 from trigait.model import (
@@ -250,3 +253,29 @@ class TestBackwardMemory:
         # the graph held after the loss, ~34 MiB here, is the scale
         assert peak <= 1.15 * held, f"backward peak {peak / held:.2f}x the forward's bytes"
         assert left <= 4 * 2**20, f"{left / 2**20:.1f} MiB still held after backward"
+
+
+@pytest.fixture(scope="module")
+def graph_nodes():
+    """`graph_nodes` from the benchmark's tracing module, so the count here is
+    the `tensor.graph_nodes` definition itself."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.graph_nodes
+
+
+class TestGraphSize:
+    """Graph nodes per training step, a design metric: counts only, no timing."""
+
+    def test_training_step(self, graph_nodes):
+        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        sils, skes, labels = make_batch()  # N=8, T=5
+        total, _ = net.loss(net.forward(sils, skes), labels)
+        assert graph_nodes(total) <= 320
+
+    def test_part_tokens(self, graph_nodes):
+        f_x = Tensor(rng(1).uniform(0, 1, (2, 3, 2, 8, 4)), requires_grad=True)
+        f_y = Tensor(rng(2).standard_normal((2, 4, 2, 17)), requires_grad=True)
+        assert graph_nodes(cross_modal_tokens(f_x, f_y, uniform_row_ranges(8, 2))) <= 16

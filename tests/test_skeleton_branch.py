@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trigait.gradcheck import model_param_gradcheck
+from trigait.gradcheck import gradcheck, model_param_gradcheck
 from trigait.tensor import Tensor
 from trigait.skeleton import (
     JointSelfAttention,
@@ -161,14 +161,21 @@ class TestJsaTcBlock:
 class TestAdaptivePool:
     def test_17_to_16_overlapping_pairs(self):
         x = rng(25).standard_normal((1, 3, 17))
-        out = adaptive_avg_pool_axis(Tensor(x), 16, axis=2).data
+        out = adaptive_avg_pool_axis(Tensor(x), 16).data
         for i in range(16):
             np.testing.assert_allclose(out[:, :, i], x[:, :, i : i + 2].mean(axis=2), atol=1e-12)
 
     def test_identity_when_sizes_match(self):
         x = rng(26).standard_normal((2, 3, 5))
-        out = adaptive_avg_pool_axis(Tensor(x), 5, axis=2).data
+        out = adaptive_avg_pool_axis(Tensor(x), 5).data
         np.testing.assert_allclose(out, x, atol=0)
+
+    @pytest.mark.parametrize("out_size", [4, 16])
+    def test_gradcheck(self, out_size):
+        err = gradcheck(
+            lambda x: adaptive_avg_pool_axis(x, out_size), [rng(29).standard_normal((2, 3, 17))]
+        )
+        assert err < 1e-4
 
 
 class TestSkeletonBranch:

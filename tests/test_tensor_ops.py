@@ -419,6 +419,11 @@ class TestShapeOps:
         err = gradcheck(fn, [a, b])
         assert err < 1e-4
 
+    def test_getitem_repeated_index_accumulates(self):
+        x = Tensor(np.zeros(4), requires_grad=True)
+        x[[0, 2, 2]].sum().backward()
+        np.testing.assert_array_equal(x.grad, [1.0, 0.0, 2.0, 0.0])
+
     def test_matmul_batched_gradcheck(self):
         r = rng(19)
         err = gradcheck(
