@@ -148,7 +148,7 @@ class Linear(Module):
 
 
 class Conv(Module):
-    """N-d convolution layer; kernel rank decides 1/2/3-D behaviour."""
+    """N-d unit-stride convolution layer; kernel rank decides 1/2/3-D behaviour."""
 
     def __init__(
         self,
@@ -156,7 +156,6 @@ class Conv(Module):
         cout: int,
         kernel,
         rng: np.random.Generator,
-        stride=1,
         dilation=1,
         padding=0,
         bias: bool = True,
@@ -167,14 +166,13 @@ class Conv(Module):
         bound = math.sqrt(1.0 / fan_in)
         self.weight = Parameter(rng.uniform(-bound, bound, (cout, cin) + kernel))
         self.bias = Parameter(rng.uniform(-bound, bound, cout)) if bias else None
-        self.stride = stride
         self.dilation = dilation
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
         from .tensor import conv
 
-        return conv(x, self.weight, self.bias, self.stride, self.dilation, self.padding)
+        return conv(x, self.weight, self.bias, self.dilation, self.padding)
 
 
 class BatchNorm(Module):

@@ -40,13 +40,16 @@ class SilhouetteConfig:
 
     def validate(self) -> list[str]:
         errors = []
+        if len(self.stem_channels) < 2:
+            # blocks 0 and 1 apply the two 2x2 poolings that feat_hw assumes
+            errors.append(f"stem_channels needs at least 2 blocks, got {len(self.stem_channels)}")
         if self.in_hw % 4 != 0:
             errors.append(f"input size {self.in_hw} must be divisible by 4")
         if self.feat_hw % self.parts != 0:
             errors.append(
                 f"parts={self.parts} must divide the feature height {self.feat_hw}"
             )
-        if self.stem_channels[-1] % self.reduction != 0:
+        if self.stem_channels and self.stem_channels[-1] % self.reduction != 0:
             errors.append(
                 f"reduction={self.reduction} must divide channels {self.stem_channels[-1]}"
             )

@@ -28,8 +28,6 @@ bit-identical outputs.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 __all__ = [
@@ -314,8 +312,8 @@ class Tensor:
 
     def sum(self, axis=None, keepdims: bool = False):
         a = self
-        data = self.data.sum(axis=axis, keepdims=keepdims)
         axes = _normalize_axes(axis, self.ndim)
+        data = self.data.sum(axis=axis, keepdims=keepdims)
 
         def backward(g):
             if not keepdims and axes is not None:
@@ -383,12 +381,12 @@ def _normalize_axes(axis, ndim) -> tuple[int, ...] | None:
         return None
     if isinstance(axis, (int, np.integer)):
         axis = (int(axis),)
+    for a in axis:
+        if not -ndim <= a < ndim:
+            raise ShapeError(f"axis {a} out of range for ndim {ndim}")
     axes = tuple(sorted(a % ndim for a in axis))
     if len(set(axes)) != len(axes):
         raise ShapeError(f"duplicate axes {axis}")
-    for a in axes:
-        if a >= ndim:
-            raise ShapeError(f"axis {a} out of range for ndim {ndim}")
     return axes
 
 
@@ -407,6 +405,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def stack(tensors, axis: int = 0) -> Tensor:
     tensors = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
+    (axis,) = _normalize_axes(axis, tensors[0].ndim + 1)
     expanded = [t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors]
     return concat(expanded, axis=axis)
 
@@ -474,7 +473,7 @@ def softplus(x: Tensor) -> Tensor:
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along `axis`; rows sum to 1 and the map is shift-invariant."""
     x = x if isinstance(x, Tensor) else Tensor(x)
-    axis = axis % x.ndim
+    (axis,) = _normalize_axes(axis, x.ndim)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     data = e / e.sum(axis=axis, keepdims=True)
@@ -527,15 +526,15 @@ def conv(
     x: Tensor,
     weight: Tensor,
     bias: Tensor | None = None,
-    stride=1,
     dilation=1,
     padding=0,
 ) -> Tensor:
-    """N-dimensional cross-correlation.
+    """N-dimensional unit-stride cross-correlation.
 
     x: (N, Cin, *spatial); weight: (Cout, Cin, *kernel); bias: (Cout,) or None.
     Covers the 1-D, 2-D, and 3-D cases uniformly; differentiable w.r.t. input,
-    kernel, and bias.
+    kernel, and bias. The forward and both gradients read the same dilated
+    window view of the padded input; the gradients go one kernel tap at a time.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
@@ -546,7 +545,6 @@ def conv(
         raise ShapeError(
             f"conv: input channels {x.shape} do not match kernel channels {weight.shape}"
         )
-    stride = _per_axis(stride, nd, "stride")
     dilation = _per_axis(dilation, nd, "dilation")
     padding = _per_axis(padding, nd, "padding")
     ksizes = weight.shape[2:]
@@ -554,20 +552,18 @@ def conv(
 
     pad_spec = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
     xp = np.pad(x.data, pad_spec) if any(padding) else x.data
-    spatial = xp.shape[2:]
-    out_sizes = tuple((s - e) // st + 1 for s, e, st in zip(spatial, eff, stride))
-    if any(o < 1 for o in out_sizes):
-        raise ShapeError(
-            f"conv: kernel {weight.shape} does not fit padded input {xp.shape}"
-        )
+    if any(s < e for s, e in zip(xp.shape[2:], eff)):
+        raise ShapeError(f"conv: kernel {weight.shape} does not fit padded input {xp.shape}")
 
-    win = np.lib.stride_tricks.sliding_window_view(xp, eff, axis=tuple(range(2, 2 + nd)))
-    # win: (N, Cin, *out_full, *eff) -> subsample output stride and kernel dilation
-    sel = (slice(None), slice(None))
-    sel += tuple(slice(None, None, st) for st in stride)
-    sel += tuple(slice(None, None, d) for d in dilation)
-    win = win[sel]  # (N, Cin, *out, *k)
+    spatial = tuple(range(2, 2 + nd))
+    taps = (...,) + tuple(slice(None, None, d) for d in dilation)
 
+    def windows(a, writeable=False):
+        """(N, C, *out, *k) dilated window view of the padded array `a`."""
+        view = np.lib.stride_tricks.sliding_window_view(a, eff, spatial, writeable=writeable)
+        return view[taps]
+
+    win = windows(xp)
     sum_axes_win = [1] + [2 + nd + i for i in range(nd)]
     sum_axes_w = [1] + [2 + i for i in range(nd)]
     data = np.tensordot(win, weight.data, axes=(sum_axes_win, sum_axes_w))
@@ -576,27 +572,25 @@ def conv(
         data = data + bias.data.reshape((1, -1) + (1,) * nd)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    batch_out = (0,) + spatial  # the (N, *out) axes
 
     def backward(g):
         # g: (N, Cout, *out)
         gx = gw = gb = None
         if weight.requires_grad:
-            gw = np.tensordot(
-                g, win, axes=([0] + list(range(2, 2 + nd)), [0] + list(range(2, 2 + nd)))
-            )  # (Cout, Cin, *k)
+            gw = np.empty_like(weight.data)
+            for k in np.ndindex(*ksizes):
+                gw[(..., *k)] = np.tensordot(g, win[(..., *k)], axes=(batch_out, batch_out))
         if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=tuple([0] + list(range(2, 2 + nd))))
+            gb = g.sum(axis=batch_out)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
-            # one GEMM for all kernel taps: (N, *out, Cin, *k)
-            contrib = np.tensordot(g, weight.data, axes=([1], [0]))
-            contrib = np.moveaxis(contrib, 1 + nd, 1)  # (N, Cin, *out, *k)
-            for kidx in itertools.product(*(range(k) for k in ksizes)):
-                sl = (slice(None), slice(None)) + tuple(
-                    slice(ki * d, ki * d + o * st, st)
-                    for ki, d, o, st in zip(kidx, dilation, out_sizes, stride)
-                )
-                gxp[sl] += contrib[(slice(None), slice(None)) + (slice(None),) * nd + kidx]
+            gwin = windows(gxp, writeable=True)
+            # at unit stride one tap's windows never overlap, so each `+=`
+            # writes every element of gxp at most once and loses no update
+            for k in np.ndindex(*ksizes):
+                part = np.tensordot(g, weight.data[(..., *k)], axes=(1, 0))  # (N, *out, Cin)
+                gwin[(..., *k)] += np.moveaxis(part, -1, 1)
             core = (slice(None), slice(None)) + tuple(
                 slice(p, p + s) for p, s in zip(padding, x.shape[2:])
             )
@@ -676,7 +670,7 @@ def gem(x: Tensor, p: Tensor, axis: int = -1) -> Tensor:
     pv = float(p.data.reshape(-1)[0])
     if pv <= 0:
         raise ValueError(f"gem: p must be positive, got {pv}")
-    axis = axis % x.ndim
+    (axis,) = _normalize_axes(axis, x.ndim)
     w = x.shape[axis]
 
     xd = x.data

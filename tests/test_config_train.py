@@ -75,6 +75,12 @@ class TestConfig:
         assert RunConfig(miniature=True).resolved().validate() == []
         assert RunConfig(batch_frames=12, embed_dim=32).validate() == []
 
+    def test_one_block_stem_rejected(self):
+        # the stem's two 2x2 pools sit in blocks 0 and 1; one block leaves the
+        # feature map twice the height the fusion branch is built for
+        cfg = RunConfig(input_size=16, sil_channels=(8,), sil_parts=4, sil_reduction=4)
+        assert cfg.validate() == ["stem_channels needs at least 2 blocks, got 1"]
+
     def test_miniature_resolution(self):
         r = RunConfig(miniature=True).resolved()
         assert r.input_size == 16 and r.embed_dim == 64

@@ -1,5 +1,7 @@
 """Tensor-core op tests: worked examples, analytic invariants, gradchecks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,38 +68,94 @@ class TestConv:
         r = rng(7)
         x = r.standard_normal((1, 2, 11))
         w = r.standard_normal((3, 2, 3))
-        stride, dil, pad = 2, 2, 2
+        dil, pad = 2, 2
         xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
         eff = (3 - 1) * dil + 1
-        n_out = (xp.shape[2] - eff) // stride + 1
+        n_out = xp.shape[2] - eff + 1
         expected = np.zeros((1, 3, n_out))
         for o in range(3):
             for t in range(n_out):
                 acc = 0.0
                 for c in range(2):
                     for kk in range(3):
-                        acc += xp[0, c, t * stride + kk * dil] * w[o, c, kk]
+                        acc += xp[0, c, t + kk * dil] * w[o, c, kk]
                 expected[0, o, t] = acc
-        out = conv(Tensor(x), Tensor(w), stride=stride, dilation=dil, padding=pad)
+        out = conv(Tensor(x), Tensor(w), dilation=dil, padding=pad)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     @pytest.mark.parametrize("spec", [
-        ((1, 2, 7), (3, 2, 3), 1, 1, 1),
-        ((2, 3, 6, 5), (4, 3, 3, 3), 1, 2, 2),
-        ((1, 2, 4, 5, 5), (3, 2, 3, 3, 3), 1, 1, 1),
-        ((1, 2, 9, 8), (2, 2, 3, 1), (2, 1), 1, (1, 0)),
+        ((1, 2, 7), (3, 2, 3), 1, 1),
+        ((2, 3, 6, 5), (4, 3, 3, 3), 2, 2),
+        ((1, 2, 4, 5, 5), (3, 2, 3, 3, 3), 1, 1),
+        ((1, 2, 9, 8), (2, 2, 3, 1), 1, (1, 0)),
     ])
     def test_gradcheck(self, spec):
-        xs, ws, stride, dil, pad = spec
+        xs, ws, dil, pad = spec
         r = rng(3)
         x = r.uniform(-1, 1, xs)
         w = r.uniform(-1, 1, ws)
         b = r.uniform(-1, 1, ws[0])
         err = gradcheck(
-            lambda xt, wt, bt: conv(xt, wt, bt, stride=stride, dilation=dil, padding=pad),
+            lambda xt, wt, bt: conv(xt, wt, bt, dilation=dil, padding=pad),
             [x, w, b],
         )
         assert err < 1e-4
+
+    @staticmethod
+    def loop_oracle(x, w, g, dil, pad):
+        """Output, input gradient and weight gradient of a unit-stride conv
+        by direct sums, one (sample, out channel, position, in channel, tap)
+        at a time; g is the upstream gradient."""
+        nd = w.ndim - 2
+        dil, pad = (dil,) * nd, (pad,) * nd
+        xp = np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pad))
+        out = tuple(s - (k - 1) * d for s, k, d in zip(xp.shape[2:], w.shape[2:], dil))
+        y = np.zeros((x.shape[0], w.shape[0]) + out)
+        gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+        for n, o, c in np.ndindex(x.shape[0], w.shape[0], w.shape[1]):
+            for t in np.ndindex(*out):
+                for k in np.ndindex(*w.shape[2:]):
+                    at = (n, c) + tuple(ti + ki * di for ti, ki, di in zip(t, k, dil))
+                    y[(n, o) + t] += xp[at] * w[(o, c) + k]
+                    gxp[at] += g[(n, o) + t] * w[(o, c) + k]
+                    gw[(o, c) + k] += g[(n, o) + t] * xp[at]
+        core = (slice(None), slice(None)) + tuple(slice(p, p + s) for p, s in zip(pad, x.shape[2:]))
+        return y, gxp[core], gw
+
+    @pytest.mark.parametrize("xs, ws, dil, pad", [
+        ((2, 2, 9), (3, 2, 3), 1, 1),
+        ((2, 3, 7, 6), (2, 3, 3, 3), 2, 2),
+        ((1, 2, 3, 4, 5), (2, 2, 3, 3, 3), 1, 1),
+        ((1, 2, 4), (2, 2, 2), 1, 3),  # padding wider than the kernel's extent
+    ])
+    def test_output_and_both_gradients_against_loop_oracle(self, xs, ws, dil, pad):
+        r = rng(11)
+        x, w = r.standard_normal(xs), r.standard_normal(ws)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        y = conv(xt, wt, dilation=dil, padding=pad)
+        g = r.standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        y_ref, gx_ref, gw_ref = self.loop_oracle(x, w, g, dil, pad)
+        np.testing.assert_allclose(y.data, y_ref, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, gx_ref, atol=1e-12)
+        np.testing.assert_allclose(wt.grad, gw_ref, atol=1e-12)
+
+    def test_backward_allocates_no_per_tap_copy_of_the_input(self):
+        # tracemalloc counts numpy's buffers; a buffer of taps x the input
+        # (27x here) would show in the peak
+        r = rng(5)
+        x = Tensor(r.standard_normal((8, 16, 5, 8, 8)), requires_grad=True)
+        w = Tensor(r.standard_normal((32, 16, 3, 3, 3)), requires_grad=True)
+        y = conv(x, w, padding=1)
+        g = Tensor(np.ones(y.shape))
+        tracemalloc.start()
+        try:
+            (y * g).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / x.data.nbytes
+        assert ratio <= 12, f"conv backward peaked at {ratio:.1f}x the input's bytes"
 
 
 class TestLinear:
@@ -439,6 +497,41 @@ class TestShapeOps:
             [r.uniform(-1, 1, (2, 3, 4))],
         )
         assert err < 1e-4
+
+    @pytest.mark.parametrize("axis", [-3, -2, -1, 0, 1, 2])
+    def test_stack_matches_numpy_on_every_axis(self, axis):
+        r = rng(22)
+        a, b = r.standard_normal((2, 3)), r.standard_normal((2, 3))
+        at, bt = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        s = stack([at, bt], axis=axis)
+        np.testing.assert_array_equal(s.data, np.stack([a, b], axis=axis))
+        g = r.standard_normal(s.shape)
+        (s * Tensor(g)).sum().backward()
+        np.testing.assert_array_equal(at.grad, np.take(g, 0, axis=axis))
+        np.testing.assert_array_equal(bt.grad, np.take(g, 1, axis=axis))
+
+
+class TestAxisRange:
+    @pytest.mark.parametrize("op", [
+        lambda x: x.max(axis=5),
+        lambda x: x.max(axis=-4),
+        lambda x: x.sum(axis=3),
+        lambda x: x.mean(axis=(0, -4)),
+        lambda x: softmax(x, axis=7),
+        lambda x: normalize(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), axes=(3,), eps=1e-5),
+        lambda x: gem(x, Tensor(np.array(1.0)), axis=3),
+        lambda x: stack([x, x], axis=-5),
+    ], ids=["max5", "max-4", "sum3", "mean-4", "softmax7", "normalize3", "gem3", "stack-5"])
+    def test_out_of_range_axis_raises(self, op):
+        # a (2, 3, 4) tensor: an axis outside [-3, 3) must not wrap around
+        x = Tensor(np.abs(rng(23).standard_normal((2, 3, 4))))
+        with pytest.raises(ShapeError, match="out of range"):
+            op(x)
+
+    def test_negative_axes_in_range_still_work(self):
+        x = Tensor(rng(24).standard_normal((2, 3, 4)))
+        np.testing.assert_array_equal(x.max(axis=-3).data, x.data.max(axis=0))
+        np.testing.assert_array_equal(softmax(x, axis=-1).data, softmax(x, axis=2).data)
 
 
 class TestMetricKernels:
