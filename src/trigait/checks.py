@@ -7,21 +7,24 @@ line per check plus a pass/fail summary and returns a process exit code.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
 from .fusion import PARTS, motion_ranges, neck_normalize, uniform_partition_ranges
 from .gradcheck import gradcheck, model_param_gradcheck
 from .losses import triplet_ba_loss
-from .skeleton import JsaTcBlock, attention_over_axis
+from .skeleton import JsaTcBlock
 from .silhouette import SpatialRefine
 from .synth import CONDITIONS, render_sequence, synth_subject
 from .tensor import (
     Tensor,
+    attention,
     batch_norm_stats,
     conv,
     gem,
     linear,
+    matmul,
     normalize,
     pairwise_part_distances,
     pool,
@@ -63,21 +66,26 @@ def _grad_conv():
         assert err < 1e-4, f"conv gradcheck err {err:.2e}"
 
 
-@check("grad", "linear/batch_norm/normalize/softmax/sigmoid/gem vs finite differences")
+@check("grad", "linear/batch_norm/normalize/softmax/sigmoid/gem/attention vs finite differences")
 def _grad_core_ops():
-    r, n = _rng(2), _rng(17)  # normalize draws from n, so r's inputs to the other ops do not shift
+    # normalize, attention and the 3-D linear draw from their own generators,
+    # so r's inputs to the other ops do not shift
+    r, n, a, f = _rng(2), _rng(17), _rng(18), _rng(19)
     checks = [
         (lambda x, w, b: linear(x, w, b),
          [r.uniform(-1, 1, (4, 3)), r.uniform(-1, 1, (3, 2)), r.uniform(-1, 1, 2)]),
         (lambda x: batch_norm_stats(x, (0, 2), 1e-5)[2], [r.uniform(-1, 1, (3, 2, 4))]),
-        (lambda x, g, b: normalize(x, g, b, (0, 2), 1e-5)[0],
-         [n.uniform(-1, 1, (3, 2, 4)), n.uniform(0.5, 1.5, (1, 2, 1)),
-          n.uniform(-1, 1, (1, 2, 1))]),
+        (lambda x, g, b: normalize(x, g, b, (0, 2), 1, 1e-5)[0],
+         [n.uniform(-1, 1, (3, 2, 4)), n.uniform(0.5, 1.5, (1, 2, 1)).reshape(2),
+          n.uniform(-1, 1, (1, 2, 1)).reshape(2)]),
         (lambda x: softmax(x, axis=1), [r.uniform(-2, 2, (3, 5))]),
         (lambda x: sigmoid(x), [r.uniform(-3, 3, (4, 4))]),
         (lambda x, p: gem(x, p, axis=1), [r.uniform(0.1, 2, (3, 6)), np.array(1.8)]),
         (lambda x: pool(x, axes=(1,), kind="max"), [r.uniform(-1, 1, (4, 6))]),
         (lambda x: pool(x, axes=(1,), kind="avg"), [r.uniform(-1, 1, (4, 6))]),
+        (lambda q, k, v: attention(q, k, v, 2), [a.uniform(-1, 1, (2, 3, 5, 4)) for _ in "qkv"]),
+        (lambda x, w, b: linear(x, w, b),
+         [f.uniform(-1, 1, (2, 3, 4)), f.uniform(-1, 1, (4, 5)), f.uniform(-1, 1, 5)]),
     ]
     for fn, inputs in checks:
         err = gradcheck(fn, inputs, n_samples=12)
@@ -149,12 +157,12 @@ def _jsa_cases():
     q = Tensor(r.standard_normal((1, 2, 1, 4)))
     k = Tensor(r.standard_normal((1, 2, 1, 4)))
     v = Tensor(r.standard_normal((1, 2, 1, 4)))
-    out = attention_over_axis(q, k, v, heads=2)
+    out = attention(q, k, v, heads=2)
     assert np.abs(out.data - v.data).max() < 1e-12
     qc = Tensor(np.broadcast_to(r.standard_normal(4), (1, 1, 6, 4)).copy())
     kc = Tensor(np.broadcast_to(r.standard_normal(4), (1, 1, 6, 4)).copy())
     vv = r.standard_normal((1, 1, 6, 4))
-    out = attention_over_axis(qc, kc, Tensor(vv), heads=2)
+    out = attention(qc, kc, Tensor(vv), heads=2)
     assert np.abs(out.data - vv.mean(axis=2, keepdims=True)).max() < 1e-12
 
 
@@ -176,6 +184,28 @@ def _residual_identities():
 
 
 # -- oracle equivalences (the test suite shares these oracles) -------------------
+
+
+def attention_over_axis(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention on (..., K, C) tensors,
+    composed from matmul, softmax and transposes: the oracle for the fused
+    `attention` op."""
+    *lead, kk, c = q.shape
+    dk = c // heads
+    lead = tuple(lead)
+    nl = len(lead)
+
+    def split(x):
+        x = x.reshape(lead + (kk, heads, dk))
+        perm = tuple(range(nl)) + (nl + 1, nl, nl + 2)
+        return x.transpose(perm)  # (..., heads, K, dk)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = matmul(qh, kh.transpose(tuple(range(nl)) + (nl, nl + 2, nl + 1)))
+    weights = softmax(scores * (1.0 / math.sqrt(dk)), axis=-1)
+    out = matmul(weights, vh)  # (..., heads, K, dk)
+    perm_back = tuple(range(nl)) + (nl + 1, nl, nl + 2)
+    return out.transpose(perm_back).reshape(lead + (kk, c))
 
 
 def bruteforce_motion_rows(norm: np.ndarray, h_feat: int) -> list[tuple]:

@@ -131,30 +131,37 @@ def embed_all(net, dataset: GaitDataset, preprocess, batch_size: int = 16, max_f
 
     preprocess(frames uint8 (N,T,H,W)) -> float input for the net. Returns
     (embeddings (n, C, P), labels, views, conditions, records).
+
+    Sequences stream into one bucket per frame count, in record order; a
+    bucket is embedded as one batch when it holds `batch_size` sequences, and
+    the partial buckets last, by frame count. So at most ``batch_size`` pairs
+    per frame count are in memory, and each batch holds the same sequences
+    as chunking every frame count's records in order would give.
     """
     from .tensor import no_grad
 
     net.eval()
     records = dataset.records()
-    by_t: dict[int, list[int]] = {}
-    loaded = []
-    for i, rec in enumerate(records):
-        frames, joints = dataset.load_pair(rec)
-        if max_frames and frames.shape[0] > max_frames:
-            frames, joints = frames[:max_frames], joints[:max_frames]
-        loaded.append((frames, joints))
-        by_t.setdefault(frames.shape[0], []).append(i)
-
     out: dict[int, np.ndarray] = {}
+    buckets: dict[int, list] = {}  # frame count -> [(record index, frames, joints)]
+
+    def embed(batch):
+        sil = preprocess(np.stack([frames for _, frames, _ in batch]))
+        emb = net.forward(sil, np.stack([joints for _, _, joints in batch])).data
+        for row, (i, _, _) in zip(emb, batch):
+            out[i] = row
+
     with no_grad():
-        for t, idxs in sorted(by_t.items()):
-            for lo in range(0, len(idxs), batch_size):
-                chunk = idxs[lo : lo + batch_size]
-                sil = preprocess(np.stack([loaded[i][0] for i in chunk]))
-                ske = np.stack([loaded[i][1] for i in chunk])
-                emb = net.forward(sil, ske).data
-                for j, i in enumerate(chunk):
-                    out[i] = emb[j]
+        for i, rec in enumerate(records):
+            frames, joints = dataset.load_pair(rec)
+            if max_frames and frames.shape[0] > max_frames:
+                frames, joints = frames[:max_frames], joints[:max_frames]
+            t = frames.shape[0]
+            buckets.setdefault(t, []).append((i, frames, joints))
+            if len(buckets[t]) == batch_size:
+                embed(buckets.pop(t))
+        for t in sorted(buckets):
+            embed(buckets[t])
     emb = np.stack([out[i] for i in range(len(records))])
     labels = np.array([r.subject for r in records])
     views = np.array([r.view for r in records])

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nn import LayerNorm, Linear, Module
-from .skeleton import attention_over_axis
 from .synth import L_HIP, L_SHO, NUM_JOINTS, R_HIP, R_SHO
-from .tensor import Tensor, concat, matmul, relu
+from .tensor import Tensor, attention, concat, matmul, relu
 
 PARTS: tuple[tuple[str, tuple[int, ...]], ...] = (
     ("head", (0, 1, 2, 3, 4)),
@@ -175,7 +174,7 @@ class TransformerEncoderLayer(Module):
         self.ff2 = Linear(ff_mult * dim, dim, rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        attn = self.out(attention_over_axis(self.q(x), self.k(x), self.v(x), self.heads))
+        attn = self.out(attention(self.q(x), self.k(x), self.v(x), self.heads))
         x = self.norm1(x + attn)
         ff = self.ff2(relu(self.ff1(x)))
         return self.norm2(x + ff)

@@ -197,21 +197,20 @@ class BatchNorm(Module):
                 f"batch_norm: channel extent {x.shape} vs gamma {self.gamma.shape}"
             )
         axes = (0,) + tuple(range(2, x.ndim))
-        cshape = (1, -1) + (1,) * (x.ndim - 2)
-        gamma, beta = self.gamma.reshape(cshape), self.beta.reshape(cshape)
         if self.training:
             count = int(np.prod([x.shape[a] for a in axes]))
             if count == 0:
                 raise ValueError("batch_norm: zero-size batch in train mode")
-            out, mu, var = normalize(x, gamma, beta, axes, self.eps)
+            out, mu, var = normalize(x, self.gamma, self.beta, axes, 1, self.eps)
             m = self.momentum
             self._set_buffer("running_mean", (1 - m) * self.running_mean + m * mu.reshape(-1))
             self._set_buffer("running_var", (1 - m) * self.running_var + m * var.reshape(-1))
             return out
+        cshape = (1, -1) + (1,) * (x.ndim - 2)
         mu = Tensor(self.running_mean.reshape(cshape))
         std = np.sqrt(self.running_var + self.eps).reshape(cshape)
         xhat = (x - mu) * Tensor(1.0 / std)
-        return xhat * gamma + beta
+        return xhat * self.gamma.reshape(cshape) + self.beta.reshape(cshape)
 
 
 class LayerNorm(Module):
@@ -224,7 +223,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def forward(self, x: Tensor) -> Tensor:
-        return normalize(x, self.gamma, self.beta, (x.ndim - 1,), self.eps)[0]
+        return normalize(x, self.gamma, self.beta, (-1,), -1, self.eps)[0]
 
 
 class GeMPool(Module):

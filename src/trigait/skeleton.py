@@ -9,14 +9,13 @@ the silhouette part axis so the two branch outputs can be fused per part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .nn import BatchNorm, Conv, Linear, Module, ModuleList
 from .synth import NUM_JOINTS, PARENTS
-from .tensor import Tensor, leaky_relu, matmul, softmax
+from .tensor import Tensor, attention, leaky_relu, matmul
 
 LEAK = 0.01
 
@@ -47,28 +46,6 @@ def multi_input(joints: np.ndarray) -> np.ndarray:
     return feats.transpose(0, 3, 1, 2)  # (N, 10, T, K)
 
 
-def attention_over_axis(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention on (..., K, C) tensors."""
-    *lead, kk, c = q.shape
-    if c % heads != 0:
-        raise ValueError(f"attention: channels {c} not divisible by heads {heads}")
-    dk = c // heads
-    lead = tuple(lead)
-    nl = len(lead)
-
-    def split(x):
-        x = x.reshape(lead + (kk, heads, dk))
-        perm = tuple(range(nl)) + (nl + 1, nl, nl + 2)
-        return x.transpose(perm)  # (..., heads, K, dk)
-
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = matmul(qh, kh.transpose(tuple(range(nl)) + (nl, nl + 2, nl + 1)))
-    weights = softmax(scores * (1.0 / math.sqrt(dk)), axis=-1)
-    out = matmul(weights, vh)  # (..., heads, K, dk)
-    perm_back = tuple(range(nl)) + (nl + 1, nl, nl + 2)
-    return out.transpose(perm_back).reshape(lead + (kk, c))
-
-
 class JointSelfAttention(Module):
     """Per-frame multi-head self-attention across joints; heads concatenate
     with no output projection. (N, Cin, T, K) -> (N, Cout, T, K)."""
@@ -85,7 +62,7 @@ class JointSelfAttention(Module):
     def forward(self, x: Tensor) -> Tensor:
         n, c, t, k = x.shape
         h = x.transpose(0, 2, 3, 1)  # (N, T, K, Cin)
-        out = attention_over_axis(self.q(h), self.k(h), self.v(h), self.heads)
+        out = attention(self.q(h), self.k(h), self.v(h), self.heads)
         return out.transpose(0, 3, 1, 2)
 
 

@@ -19,14 +19,17 @@ none. A returned gradient may still carry the axes numpy broadcast the parent
 over. ``Tensor.backward`` is the one place that skips parents without
 ``requires_grad``, sums broadcast axes away and accumulates into ``.grad``.
 
-``normalize`` is the one fused op: train-mode BatchNorm and LayerNorm as a
-single graph node with a closed-form backward.
+Three layers are fused into one graph node each, with a closed-form backward:
+``attention`` (multi-head scaled dot-product attention), ``linear`` and
+``normalize`` (train-mode BatchNorm and LayerNorm).
 
 All math is float64 and single-threaded-deterministic: identical inputs give
 bit-identical outputs.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +42,7 @@ __all__ = [
     "matmul",
     "conv",
     "linear",
+    "attention",
     "batch_norm_stats",
     "normalize",
     "softmax",
@@ -428,15 +432,84 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map ``x @ weight + bias`` for x (..., Din), weight (Din, Dout)."""
+    """Affine map ``x @ weight + bias`` for x (..., Din), weight (Din, Dout).
+
+    One graph node; its weight gradient is one GEMM of x and the output
+    gradient with their leading axes flattened.
+    """
+    x = x if isinstance(x, Tensor) else Tensor(x)
     if x.shape[-1] != weight.shape[0]:
         raise ShapeError(
             f"linear: input feature dim {x.shape} does not match weight {weight.shape}"
         )
-    out = matmul(x, weight)
+    data = x.data @ weight.data
     if bias is not None:
-        out = out + bias
-    return out
+        data += bias.data
+
+    def backward(g):
+        gx = g @ weight.data.T if x.requires_grad else None
+        gw = None
+        if weight.requires_grad:
+            gw = x.data.reshape(-1, x.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return (gx, gw) if bias is None else (gx, gw, g)
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._result(data, parents, backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention (Vaswani et al., 2017) on
+    (..., K, C) tensors, as one graph node.
+
+    The C channels split into `heads` groups of dk = C // heads; each group
+    attends over the K axis with ``P = softmax(q k^T / sqrt(dk))``, and the
+    heads' ``P v`` concatenate back to C channels. The forward makes the same
+    products on the same head-split views as the composite of matmul, softmax
+    and transposes, so its output equals that composite's bit for bit. The
+    backward is the closed form from the kept probabilities P: with
+    ``gP = gO v^T`` and ``gS = P * (gP - rowsum(gP * P)) / sqrt(dk)``, it
+    gives ``gq = gS k``, ``gk = gS^T q`` and ``gv = P^T gO``.
+    """
+    if not q.shape == k.shape == v.shape:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} differ")
+    *lead, kk, c = q.shape
+    if c % heads != 0:
+        raise ValueError(f"attention: channels {c} not divisible by heads {heads}")
+    dk = c // heads
+    nl = len(lead)
+    swap = tuple(range(nl)) + (nl + 1, nl, nl + 2)  # its own inverse
+
+    def split(a):
+        """(..., K, C) -> (..., heads, K, dk) view."""
+        return a.reshape(tuple(lead) + (kk, heads, dk)).transpose(swap)
+
+    def merge(a):
+        """(..., heads, K, dk) -> (..., K, C)."""
+        return a.transpose(swap).reshape(q.shape)
+
+    def t(a):
+        return np.swapaxes(a, -1, -2)
+
+    scale = 1.0 / math.sqrt(dk)
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    # the scores turn into probabilities in place, so no (..., heads, K, K)
+    # temporaries are made
+    p = qh @ t(kh)
+    p *= scale
+    _softmax_inplace(p, -1)
+    data = merge(p @ vh)
+
+    def backward(g):
+        gh = split(g)
+        gq = gk = None
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_grad_inplace(gh @ t(vh), p, -1)  # gP, turned into gS
+            gs *= scale
+            gq = merge(gs @ kh) if q.requires_grad else None
+            gk = merge(t(gs) @ qh) if k.requires_grad else None
+        return gq, gk, merge(t(p) @ gh) if v.requires_grad else None
+
+    return Tensor._result(data, (q, k, v), backward)
 
 
 def _stable_sigmoid(d: np.ndarray) -> np.ndarray:
@@ -474,15 +547,32 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Softmax along `axis`; rows sum to 1 and the map is shift-invariant."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     (axis,) = _normalize_axes(axis, x.ndim)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = _softmax_inplace(x.data.copy(), axis)
 
     def backward(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        return (data * (g - dot),)
+        return (_softmax_grad_inplace(g.copy(), data, axis),)
 
     return Tensor._result(data, (x,), backward)
+
+
+def _softmax_inplace(a: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite `a` with its softmax along `axis` (max-shifted) and return it.
+
+    Each in-place step is the same IEEE operation as its out-of-place form
+    ``e = exp(a - max(a)); e / sum(e)``, so the result equals it bit for bit.
+    """
+    a -= a.max(axis=axis, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=axis, keepdims=True)
+    return a
+
+
+def _softmax_grad_inplace(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray:
+    """Overwrite the output gradient `g` of softmax `p` with its input
+    gradient ``p * (g - sum(g * p))`` along `axis`, and return it."""
+    g -= (g * p).sum(axis=axis, keepdims=True)
+    g *= p
+    return g
 
 
 def pool(x: Tensor, axes, kind: str = "max") -> Tensor:
@@ -614,38 +704,52 @@ def batch_norm_stats(x: Tensor, axes: tuple[int, ...], eps: float):
     return mu, var, xhat
 
 
-def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, eps: float):
+def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, channel: int, eps: float):
     """Fused normalization ``xhat * gamma + beta`` as one graph node, with
     ``xhat`` standardized over `axes` by the biased batch statistics.
 
-    Train-mode BatchNorm passes gamma and beta shaped (1, C, 1, ...) and the
-    non-channel axes; LayerNorm passes (C,) and the last axis. Returns
-    ``(out, mean, var)``; mean and var are plain arrays with `axes` kept, for
-    running statistics. The forward repeats `batch_norm_stats` step for step,
-    so all three equal the composite's bit for bit. The backward is the
-    closed form (Ioffe & Szegedy, 2015) with ``gh = g * gamma``:
-    ``gx = (gh - mean(gh) - xhat * mean(gh * xhat)) / std``; it keeps only
-    ``xhat`` and ``std``.
+    gamma and beta are (C,), laid along the `channel` axis of x: train-mode
+    BatchNorm passes the non-channel axes and channel 1; LayerNorm passes the
+    last axis as both. Returns ``(out, mean, var)``; mean and var are plain
+    arrays with `axes` kept, for running statistics. The forward repeats
+    `batch_norm_stats` step for step, so all three equal the composite's bit
+    for bit. The backward is the closed form (Ioffe & Szegedy, 2015) with
+    ``gh = g * gamma``: ``gx = (gh - mean(gh) - xhat * mean(gh * xhat)) / std``;
+    it keeps only ``xhat`` and ``std``.
     """
     axes = _normalize_axes(axes, x.ndim)
+    (channel,) = _normalize_axes(channel, x.ndim)
+    c = x.shape[channel]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(
+            f"normalize: gamma {gamma.shape} and beta {beta.shape} must be ({c},) "
+            f"for axis {channel} of {x.shape}"
+        )
+    cshape = tuple(c if a == channel else 1 for a in range(x.ndim))
+    others = tuple(a for a in range(x.ndim) if a != channel)
+    gamma_c = gamma.data.reshape(cshape)
     scale = 1.0 / int(np.prod([x.shape[a] for a in axes]))
     mean = x.data.sum(axis=axes, keepdims=True) * scale
     centered = x.data - mean
     var = (centered * centered).sum(axis=axes, keepdims=True) * scale
     std = np.sqrt(var + eps)
     xhat = centered / std
-    data = xhat * gamma.data + beta.data
+    data = xhat * gamma_c + beta.data.reshape(cshape)
 
     def backward(g):
         gx = None
         if x.requires_grad:
-            gh = g * gamma.data
+            gh = g * gamma_c
             gx = (
                 gh
                 - gh.mean(axis=axes, keepdims=True)
                 - xhat * (gh * xhat).mean(axis=axes, keepdims=True)
             ) / std
-        return gx, g * xhat if gamma.requires_grad else None, g
+        return (
+            gx,
+            (g * xhat).sum(axis=others) if gamma.requires_grad else None,
+            g.sum(axis=others) if beta.requires_grad else None,
+        )
 
     return Tensor._result(data, (x, gamma, beta), backward), mean, var
 

@@ -23,6 +23,7 @@ LOG_HEADER = "iteration\tlr\tl_tri\tl_ce\tl\tactive_triplet_fraction"
 
 _INIT_TAG = 0x1A17
 _BATCH_TAG = 0xB47C
+_META_KEYS = ("__meta__.config_text", "__meta__.iteration", "__meta__.num_subjects")
 
 
 def _text_to_floats(text: str) -> np.ndarray:
@@ -78,6 +79,9 @@ def load_training_checkpoint(path, expect_config: RunConfig | None = None) -> Lo
     config's, the checkpoint is rejected and both hashes are reported.
     """
     tensors = load_checkpoint(path)
+    for key in _META_KEYS:
+        if key not in tensors:
+            raise ValueError(f"{path}: not a training checkpoint, no {key!r} record")
     config = parse_config_text(_floats_to_text(tensors["__meta__.config_text"]), source=str(path))
     if expect_config is not None and expect_config.hash_hex() != config.hash_hex():
         raise ValueError(

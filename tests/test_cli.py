@@ -2,6 +2,7 @@
 
 import warnings
 
+import numpy as np
 import pytest
 
 from trigait.cli import _config_from_args, build_parser, main
@@ -118,6 +119,19 @@ class TestTrainEval:
             "--out", str(tmp_path / "e"), "--config", str(other_cfg),
         )
         assert code == 1
+
+    def test_eval_rejects_checkpoint_without_training_metadata(
+        self, small_dataset, tmp_path, capsys
+    ):
+        from trigait.checkpoint import save_checkpoint
+
+        bare = tmp_path / "bare.tgck"
+        save_checkpoint(bare, {"model.w": np.zeros(2)})
+        code = run_cli("eval", "--data", str(small_dataset), "--checkpoint", str(bare),
+                       "--out", str(tmp_path / "e"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(bare) in err and "'__meta__.config_text'" in err
 
     def test_eval_warns_about_conditions_without_probes(self, tmp_path, capsys):
         data, run = tmp_path / "data", tmp_path / "run"

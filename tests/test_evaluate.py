@@ -6,11 +6,13 @@ import pytest
 from trigait.data import SequenceRecord
 from trigait.evaluate import (
     EvalReport,
+    embed_all,
     emit_report,
     part_summed_distances,
     rank1,
     split_gallery_probe,
 )
+from trigait.tensor import Tensor
 
 
 def rng(seed=0):
@@ -145,6 +147,37 @@ class TestRank1:
         ) < 1e-12
 
 
+class _CountingDataset:
+    """Sequence i has ts[i] frames whose pixels and joints all hold i;
+    counts load_pair calls."""
+
+    def __init__(self, ts):
+        self.ts, self.loaded = ts, 0
+
+    def records(self):
+        return [rec(i % 3, "NM", 0, i) for i in range(len(self.ts))]
+
+    def load_pair(self, r):
+        self.loaded += 1
+        t = self.ts[r.seq_index]
+        return np.full((t, 4, 4), r.seq_index, np.uint8), np.full((t, 17, 2), r.seq_index, float)
+
+
+class _IndexNet:
+    """Embeds each sequence as its index, (1, 1) per sequence, and logs the
+    batches it was given."""
+
+    def __init__(self):
+        self.batches = []
+
+    def eval(self):
+        pass
+
+    def forward(self, sil, ske):
+        self.batches.append(ske[:, 0, 0, 0].astype(int).tolist())
+        return Tensor(ske[:, :1, :1, 0])
+
+
 class TestEmbedAll:
     def test_shapes_determinism_distinctness(self, tmp_path):
         from trigait.evaluate import embed_all
@@ -162,6 +195,32 @@ class TestEmbedAll:
         np.testing.assert_array_equal(emb1, emb2)
         # generically, different sequences embed differently
         assert np.abs(emb1[0] - emb1[1]).max() > 1e-9
+
+    def test_streams_one_batch_at_a_time(self):
+        ds, net = _CountingDataset([30] * 40), _IndexNet()
+        loaded_at_preprocess = []
+
+        def pre(frames):
+            loaded_at_preprocess.append(ds.loaded)
+            return frames
+
+        emb, *_ = embed_all(net, ds, pre, batch_size=16)
+        assert loaded_at_preprocess == [16, 32, 40]
+        np.testing.assert_array_equal(emb[:, 0, 0], np.arange(40))
+
+    def test_mixed_frame_counts_keep_batch_composition(self):
+        ts = [5, 6, 5, 5, 7, 6, 5, 6, 6, 5, 9, 5, 6]
+        ds, net = _CountingDataset(ts), _IndexNet()
+        emb, *_ = embed_all(net, ds, lambda f: f, batch_size=3, max_frames=8)
+        # every frame count's records in order, cut into runs of batch_size
+        by_t = {}
+        for i, t in enumerate(ts):
+            by_t.setdefault(min(t, 8), []).append(i)
+        want = [idxs[lo : lo + 3] for _, idxs in sorted(by_t.items())
+                for lo in range(0, len(idxs), 3)]
+        assert sorted(net.batches) == sorted(want)
+        assert net.batches[-3:] == [[8, 12], [4], [10]]  # partial batches last, by frame count
+        np.testing.assert_array_equal(emb[:, 0, 0], np.arange(len(ts)))
 
     def test_missing_gallery_view_gives_absent_cells(self):
         r = rng(10)

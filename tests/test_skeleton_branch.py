@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from trigait.gradcheck import gradcheck, model_param_gradcheck
-from trigait.tensor import Tensor
 from trigait.skeleton import (
     JointSelfAttention,
     JsaTcBlock,
     SkeletonBranch,
     SkeletonConfig,
     adaptive_avg_pool_axis,
-    attention_over_axis,
     multi_input,
 )
-from trigait.tensor import Tensor
+from trigait.tensor import Tensor, attention
 
 
 def rng(seed=0):
@@ -67,7 +65,7 @@ class TestAttention:
         q = Tensor(rng(4).standard_normal((1, 3, 1, 4)))
         k = Tensor(rng(5).standard_normal((1, 3, 1, 4)))
         v = Tensor(rng(6).standard_normal((1, 3, 1, 4)))
-        out = attention_over_axis(q, k, v, heads=2)
+        out = attention(q, k, v, heads=2)
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_identical_joints_give_mean_of_values(self):
@@ -76,7 +74,7 @@ class TestAttention:
         v = rng(9).standard_normal((1, 1, 5, 4))
         q = Tensor(np.broadcast_to(one_q, (1, 1, 5, 4)).copy())
         k = Tensor(np.broadcast_to(one_k, (1, 1, 5, 4)).copy())
-        out = attention_over_axis(q, k, Tensor(v), heads=2)
+        out = attention(q, k, Tensor(v), heads=2)
         np.testing.assert_allclose(
             out.data, np.broadcast_to(v.mean(axis=2, keepdims=True), v.shape), atol=1e-12
         )
@@ -86,7 +84,7 @@ class TestAttention:
         q = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1))
         k = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1))
         v = Tensor(np.array([2.0, 4.0]).reshape(1, 2, 1))
-        out = attention_over_axis(q, k, v, heads=1)
+        out = attention(q, k, v, heads=1)
         w = np.exp([1.0, 0.0])
         w = w / w.sum()
         expected = w[0] * 2.0 + w[1] * 4.0  # 2.5379...

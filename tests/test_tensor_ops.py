@@ -5,10 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from trigait.checks import attention_over_axis
 from trigait.gradcheck import gradcheck
 from trigait.tensor import (
     ShapeError,
     Tensor,
+    attention,
     batch_all_triplet,
     batch_norm_stats,
     concat,
@@ -158,6 +160,10 @@ class TestConv:
         assert ratio <= 12, f"conv backward peaked at {ratio:.1f}x the input's bytes"
 
 
+def _backward_from_projection(out, seed=31):
+    (out * Tensor(rng(seed).standard_normal(out.shape))).sum().backward()
+
+
 class TestLinear:
     def test_identity(self):
         x = rng(2).standard_normal((4, 3))
@@ -193,6 +199,28 @@ class TestLinear:
         )
         assert err < 1e-4
 
+    @pytest.mark.parametrize("with_bias", [True, False])
+    def test_matches_matmul_plus_add(self, with_bias):
+        r = rng(28)
+        x, w, b = r.standard_normal((2, 3, 4)), r.standard_normal((4, 5)), r.standard_normal(5)
+        arrays = (x, w, b) if with_bias else (x, w)
+        fused = [Tensor(a, requires_grad=True) for a in arrays]
+        comp = [Tensor(a, requires_grad=True) for a in arrays]
+        out = linear(*fused)
+        ref = matmul(comp[0], comp[1])
+        if with_bias:
+            ref = ref + comp[2]
+        np.testing.assert_array_equal(out.data, ref.data)
+        _backward_from_projection(out)
+        _backward_from_projection(ref)
+        for got, want in zip(fused, comp):
+            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+
+    def test_one_graph_node(self):
+        x, w, b = (Tensor(a, requires_grad=True) for a in (np.ones((2, 3)), np.eye(3), np.ones(3)))
+        assert linear(x, w, b)._parents == (x, w, b)
+        assert linear(x, w)._parents == (x, w)
+
 
 class TestBatchNormStats:
     def test_constant_input_zeros(self):
@@ -222,24 +250,25 @@ class TestNormalize:
     """The fused op against the composite it replaces: `batch_norm_stats`
     followed by the affine step."""
 
+    # (x shape, axes, channel axis, the composite's broadcast gamma shape)
     CASES = {
-        "batch_norm": ((4, 3, 5, 2), (0, 2, 3), (1, 3, 1, 1)),
-        "layer_norm": ((4, 5, 6), (2,), (6,)),
+        "batch_norm": ((4, 3, 5, 2), (0, 2, 3), 1, (1, 3, 1, 1)),
+        "layer_norm": ((4, 5, 6), (2,), 2, (6,)),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_matches_composite(self, case):
-        shape, axes, cshape = self.CASES[case]
+        shape, axes, channel, cshape = self.CASES[case]
         r = rng(21)
         x, w = r.standard_normal(shape) * 2 + 0.5, r.standard_normal(shape)
         gamma, beta = r.uniform(0.5, 1.5, cshape), r.uniform(-1, 1, cshape)
 
-        def leaves():
-            return [Tensor(a.copy(), requires_grad=True) for a in (x, gamma, beta)]
+        def leaves(*arrays):
+            return [Tensor(a.copy(), requires_grad=True) for a in arrays]
 
-        xt, gt, bt = leaves()
-        out, mean, var = normalize(xt, gt, bt, axes, 1e-5)
-        xr, gr, br = leaves()
+        xt, gt, bt = leaves(x, gamma.reshape(-1), beta.reshape(-1))
+        out, mean, var = normalize(xt, gt, bt, axes, channel, 1e-5)
+        xr, gr, br = leaves(x, gamma, beta)
         mu_ref, var_ref, xhat_ref = batch_norm_stats(xr, axes, 1e-5)
         ref = xhat_ref * gr + br
         np.testing.assert_array_equal(out.data, ref.data)
@@ -248,20 +277,74 @@ class TestNormalize:
         (out * Tensor(w)).sum().backward()
         (ref * Tensor(w)).sum().backward()
         for got, want in ((xt, xr), (gt, gr), (bt, br)):
-            np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(
+                got.grad, want.grad.reshape(got.shape), rtol=1e-12, atol=0
+            )
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_gradcheck(self, case):
-        shape, axes, cshape = self.CASES[case]
+        shape, axes, channel, cshape = self.CASES[case]
         r = rng(22)
-        inputs = [r.uniform(-1, 1, shape), r.uniform(0.5, 1.5, cshape), r.uniform(-1, 1, cshape)]
-        err = gradcheck(lambda xt, gt, bt: normalize(xt, gt, bt, axes, 1e-5)[0], inputs)
+        inputs = [
+            r.uniform(-1, 1, shape),
+            r.uniform(0.5, 1.5, cshape).reshape(-1),
+            r.uniform(-1, 1, cshape).reshape(-1),
+        ]
+        err = gradcheck(lambda xt, gt, bt: normalize(xt, gt, bt, axes, channel, 1e-5)[0], inputs)
         assert err < 1e-4
 
     def test_one_graph_node(self):
         x, g, b = (Tensor(a, requires_grad=True) for a in (np.eye(3), np.ones(3), np.zeros(3)))
-        out = normalize(x, g, b, (1,), 1e-5)[0]
+        out = normalize(x, g, b, (1,), 1, 1e-5)[0]
         assert out._parents == (x, g, b)
+
+    def test_parameter_shape_checked(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        with pytest.raises(ShapeError, match="must be"):
+            normalize(x, Tensor(np.ones((1, 3, 1))), Tensor(np.zeros(3)), (0, 2), 1, 1e-5)
+
+
+class TestAttention:
+    """The fused op against `checks.attention_over_axis`, the composite of
+    matmul, softmax and transposes it replaces."""
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    @pytest.mark.parametrize("v_grad", [True, False], ids=["v_grad", "v_const"])
+    def test_matches_composite(self, heads, v_grad):
+        r = rng(25)
+        arrays = [r.standard_normal((2, 3, 5, 4)) for _ in range(3)]
+        flags = (True, True, v_grad)
+        fused = [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+        comp = [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
+        out = attention(*fused, heads)
+        ref = attention_over_axis(*comp, heads)
+        np.testing.assert_array_equal(out.data, ref.data)
+        _backward_from_projection(out)
+        _backward_from_projection(ref)
+        for got, want in zip(fused, comp):
+            assert (got.grad is None) == (not got.requires_grad) == (want.grad is None)
+            if got.requires_grad:
+                np.testing.assert_allclose(got.grad, want.grad, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("heads", [1, 2])
+    def test_gradcheck(self, heads):
+        r = rng(26)
+        inputs = [r.uniform(-1, 1, (2, 3, 5, 4)) for _ in range(3)]
+        err = gradcheck(lambda q, k, v: attention(q, k, v, heads), inputs)
+        assert err < 1e-4
+
+    def test_one_graph_node(self):
+        r = rng(27)
+        q, k, v = (Tensor(r.standard_normal((2, 3, 4)), requires_grad=True) for _ in "qkv")
+        out = attention(q, k, v, 2)
+        assert out._parents == (q, k, v)
+
+    def test_bad_shapes_rejected(self):
+        a = Tensor(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            attention(a, a, Tensor(np.zeros((2, 5, 4))), 2)
+        with pytest.raises(ValueError, match="not divisible"):
+            attention(a, a, a, 3)
 
 
 class TestSoftmax:
@@ -518,7 +601,8 @@ class TestAxisRange:
         lambda x: x.sum(axis=3),
         lambda x: x.mean(axis=(0, -4)),
         lambda x: softmax(x, axis=7),
-        lambda x: normalize(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), axes=(3,), eps=1e-5),
+        lambda x: normalize(x, Tensor(np.ones(4)), Tensor(np.zeros(4)), axes=(3,), channel=3,
+                            eps=1e-5),
         lambda x: gem(x, Tensor(np.array(1.0)), axis=3),
         lambda x: stack([x, x], axis=-5),
     ], ids=["max5", "max-4", "sum3", "mean-4", "softmax7", "normalize3", "gem3", "stack-5"])
