@@ -20,14 +20,12 @@ from .synth import CONDITIONS, render_sequence, synth_subject
 from .tensor import (
     Tensor,
     attention,
-    batch_norm_stats,
     conv,
     gem,
     linear,
     matmul,
     normalize,
     pairwise_part_distances,
-    pool,
     sigmoid,
     softmax,
 )
@@ -81,8 +79,8 @@ def _grad_core_ops():
         (lambda x: softmax(x, axis=1), [r.uniform(-2, 2, (3, 5))]),
         (lambda x: sigmoid(x), [r.uniform(-3, 3, (4, 4))]),
         (lambda x, p: gem(x, p, axis=1), [r.uniform(0.1, 2, (3, 6)), np.array(1.8)]),
-        (lambda x: pool(x, axes=(1,), kind="max"), [r.uniform(-1, 1, (4, 6))]),
-        (lambda x: pool(x, axes=(1,), kind="avg"), [r.uniform(-1, 1, (4, 6))]),
+        (lambda x: x.max(axis=(1,)), [r.uniform(-1, 1, (4, 6))]),
+        (lambda x: x.mean(axis=(1,)), [r.uniform(-1, 1, (4, 6))]),
         (lambda q, k, v: attention(q, k, v, 2), [a.uniform(-1, 1, (2, 3, 5, 4)) for _ in "qkv"]),
         (lambda x, w, b: linear(x, w, b),
          [f.uniform(-1, 1, (2, 3, 4)), f.uniform(-1, 1, (4, 5)), f.uniform(-1, 1, 5)]),
@@ -206,6 +204,17 @@ def attention_over_axis(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     out = matmul(weights, vh)  # (..., heads, K, dk)
     perm_back = tuple(range(nl)) + (nl + 1, nl, nl + 2)
     return out.transpose(perm_back).reshape(lead + (kk, c))
+
+
+def batch_norm_stats(x: Tensor, axes: tuple[int, ...], eps: float):
+    """Differentiable (mean, var, normalized) over `axes` with biased variance,
+    composed from reductions and arithmetic: the oracle for the fused
+    `normalize` op."""
+    mu = x.mean(axis=axes, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=axes, keepdims=True)
+    xhat = centered / (var + eps).sqrt()
+    return mu, var, xhat
 
 
 def bruteforce_motion_rows(norm: np.ndarray, h_feat: int) -> list[tuple]:

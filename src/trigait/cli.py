@@ -50,8 +50,6 @@ def _derive_seed(*parts: int) -> int:
 def _view_list(count: int) -> list[int]:
     import numpy as np
 
-    if count == 11:
-        return list(range(0, 181, 18))
     return sorted({int(round(v)) for v in np.linspace(0, 180, count)})
 
 
@@ -77,6 +75,8 @@ def cmd_synth(args) -> int:
 
     if args.subjects < 2:
         raise ValueError(f"need at least 2 subjects, got {args.subjects}")
+    if args.frames < 5:
+        raise ValueError(f"--frames {args.frames} < 5: the temporal stream needs T >= 5")
     out = args.out
     seed = args.seed if args.seed is not None else _env_seed()
     views = _view_list(args.views)
@@ -217,7 +217,7 @@ def cmd_eval(args) -> int:
         with open(args.dump_ranges, "w") as fh:
             fh.write("stem\tpart\th_f\th_e\trow_lo\trow_hi\n")
             for rec in records:
-                _, joints = dataset.load_pair(rec)
+                joints = dataset.load_pair(rec)[1][: cfg.eval_max_frames or None]
                 if cfg.partition_mode == "uniform":
                     ranges = uniform_partition_ranges(h_feat)
                 else:
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views", type=int, default=11, help="number of azimuth views")
     p.add_argument("--seqs-per-view", type=int, default=10, dest="seqs_per_view",
                    help="sequences per view (6 NM / 2 BG / 2 CL at the default 10)")
-    p.add_argument("--frames", type=int, default=40, help="frames per sequence (>= 30)")
+    p.add_argument("--frames", type=int, default=40, help="frames per sequence (>= 5)")
     p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_synth)

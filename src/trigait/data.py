@@ -7,40 +7,24 @@ view, seq_index, stem) plus one `.tgsl` (bit-packed silhouette frames) and one
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .checkpoint import read_header, write_header
 from .synth import CONDITIONS, SilhouetteSequence, SkeletonSequence
 
 SIL_MAGIC = b"TGSL"
 KPT_MAGIC = b"TGKT"
-FORMAT_VERSION = 1
 
 
 def write_silhouette(path, seq: SilhouetteSequence) -> None:
     t, h, w = seq.frames.shape
     with open(path, "wb") as fh:
-        fh.write(SIL_MAGIC)
-        fh.write(struct.pack("<IIII", FORMAT_VERSION, t, h, w))
+        write_header(fh, SIL_MAGIC, t, h, w)
         fh.write(np.packbits(seq.frames.reshape(-1)).tobytes())
-
-
-def _read(path, fmt: str, magic: bytes, kind: str) -> tuple[tuple[int, ...], memoryview]:
-    """Header fields after the magic and version, and the payload that follows."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != magic:
-        raise ValueError(f"{path}: bad {kind} magic {raw[:4]!r}")
-    size = 4 + struct.calcsize(fmt)
-    if len(raw) < size:
-        raise ValueError(f"{path}: {kind} header is {len(raw)} bytes, expected {size}")
-    version, *dims = struct.unpack_from(fmt, raw, 4)
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported {kind} version {version}")
-    return tuple(dims), memoryview(raw)[size:]
 
 
 def _check_length(path, payload: memoryview, expected: int, kind: str) -> None:
@@ -49,7 +33,7 @@ def _check_length(path, payload: memoryview, expected: int, kind: str) -> None:
 
 
 def read_silhouette_frames(path) -> np.ndarray:
-    (t, h, w), payload = _read(path, "<IIII", SIL_MAGIC, "silhouette")
+    (t, h, w), payload = read_header(path, SIL_MAGIC, 3, "silhouette")
     total = t * h * w
     _check_length(path, payload, (total + 7) // 8, "silhouette")
     return np.unpackbits(np.frombuffer(payload, dtype=np.uint8), count=total).reshape(t, h, w)
@@ -58,13 +42,12 @@ def read_silhouette_frames(path) -> np.ndarray:
 def write_keypoints(path, seq: SkeletonSequence) -> None:
     t, k, _ = seq.joints.shape
     with open(path, "wb") as fh:
-        fh.write(KPT_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, t, k))
+        write_header(fh, KPT_MAGIC, t, k)
         fh.write(np.asarray(seq.joints, dtype="<f8").tobytes())
 
 
 def read_keypoints(path) -> np.ndarray:
-    (t, k), payload = _read(path, "<III", KPT_MAGIC, "keypoint")
+    (t, k), payload = read_header(path, KPT_MAGIC, 2, "keypoint")
     _check_length(path, payload, t * k * 16, "keypoint")
     arr = np.frombuffer(payload, dtype="<f8").reshape(t, k, 2).astype(np.float64)
     if not np.isfinite(arr).all():

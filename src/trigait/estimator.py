@@ -11,6 +11,7 @@ import numpy as np
 
 from .config import RunConfig
 from .data import GaitDataset, read_dataset
+from .evaluate import embed_all
 from .model import preprocess_silhouettes
 from .tensor import no_grad
 from .validation import check_joints, check_paired, check_silhouette_frames
@@ -122,9 +123,11 @@ class GaitEmbedder:
         return np.concatenate(out, axis=0)
 
     def fit_transform(self, dataset, y=None) -> np.ndarray:
-        """Fit on the dataset, then embed every manifest sequence in order."""
+        """Fit on the dataset, then embed every manifest sequence in order,
+        one at a time as `transform` does, streaming them from disk."""
         if not isinstance(dataset, GaitDataset):
             dataset = read_dataset(dataset)
         self.fit(dataset)
-        pairs = [dataset.load_pair(r) for r in dataset.records()]
-        return self.transform([(f, j) for f, j in pairs])
+        size = self.config_.input_size
+        return embed_all(self.net_, dataset, lambda f: preprocess_silhouettes(f, size),
+                         batch_size=1)[0]

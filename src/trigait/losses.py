@@ -23,16 +23,10 @@ def triplet_ba_loss(embeddings: Tensor, labels: np.ndarray, margin: float = 0.2)
     Per part, every valid (anchor, positive, negative) triplet contributes
     max(0, margin + d_ap - d_an) with Euclidean distance over channels; the
     part loss averages the strictly positive terms only. Returns (loss Tensor,
-    active fraction).
+    active fraction). Raises ValueError when no valid triplet exists: fewer
+    than 2 labels, or no label with 2 or more samples.
     """
-    labels = np.asarray(labels)
-    uniq, counts = np.unique(labels, return_counts=True)
-    if len(uniq) < 2 or counts.max() < 2:
-        raise ValueError(
-            "triplet_ba_loss: need >= 2 labels and >= 2 samples for some label"
-        )
-    dist = pairwise_part_distances(embeddings)
-    return batch_all_triplet(dist, labels, margin)
+    return batch_all_triplet(pairwise_part_distances(embeddings), labels, margin)
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:

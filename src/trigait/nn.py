@@ -41,10 +41,6 @@ class Module:
         self._buffers[name] = np.asarray(value, dtype=np.float64)
         object.__setattr__(self, name, self._buffers[name])
 
-    def _set_buffer(self, name: str, value: np.ndarray) -> None:
-        self._buffers[name][...] = value
-        object.__setattr__(self, name, self._buffers[name])
-
     # -- traversal ---------------------------------------------------------
 
     def named_parameters(self, prefix: str = ""):
@@ -203,8 +199,8 @@ class BatchNorm(Module):
                 raise ValueError("batch_norm: zero-size batch in train mode")
             out, mu, var = normalize(x, self.gamma, self.beta, axes, 1, self.eps)
             m = self.momentum
-            self._set_buffer("running_mean", (1 - m) * self.running_mean + m * mu.reshape(-1))
-            self._set_buffer("running_var", (1 - m) * self.running_var + m * var.reshape(-1))
+            self.running_mean[...] = (1 - m) * self.running_mean + m * mu.reshape(-1)
+            self.running_var[...] = (1 - m) * self.running_var + m * var.reshape(-1)
             return out
         cshape = (1, -1) + (1,) * (x.ndim - 2)
         mu = Tensor(self.running_mean.reshape(cshape))

@@ -43,7 +43,6 @@ __all__ = [
     "conv",
     "linear",
     "attention",
-    "batch_norm_stats",
     "normalize",
     "softmax",
     "sigmoid",
@@ -51,8 +50,6 @@ __all__ = [
     "relu",
     "softplus",
     "gem",
-    "pool",
-    "take",
     "pairwise_part_distances",
     "batch_all_triplet",
 ]
@@ -575,29 +572,6 @@ def _softmax_grad_inplace(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray
     return g
 
 
-def pool(x: Tensor, axes, kind: str = "max") -> Tensor:
-    """Reduce `axes` of x away by max or average pooling."""
-    if kind == "max":
-        return x.max(axis=axes)
-    if kind == "avg":
-        return x.mean(axis=axes)
-    raise ValueError(f"unknown pool kind {kind!r}")
-
-
-def take(x: Tensor, indices, axis: int) -> Tensor:
-    """Select `indices` along `axis` (duplicates allowed; grads scatter-add)."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    idx = np.asarray(indices, dtype=np.intp)
-    data = np.take(x.data, idx, axis=axis)
-
-    def backward(g):
-        full = np.zeros_like(x.data)
-        np.add.at(np.moveaxis(full, axis, 0), idx, np.moveaxis(g, axis, 0))
-        return (full,)
-
-    return Tensor._result(data, (x,), backward)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -695,15 +669,6 @@ def conv(
 # ---------------------------------------------------------------------------
 
 
-def batch_norm_stats(x: Tensor, axes: tuple[int, ...], eps: float):
-    """Differentiable (mean, var, normalized) over `axes` with biased variance."""
-    mu = x.mean(axis=axes, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=axes, keepdims=True)
-    xhat = centered / (var + eps).sqrt()
-    return mu, var, xhat
-
-
 def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, channel: int, eps: float):
     """Fused normalization ``xhat * gamma + beta`` as one graph node, with
     ``xhat`` standardized over `axes` by the biased batch statistics.
@@ -712,8 +677,8 @@ def normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes, channel: int, eps: f
     BatchNorm passes the non-channel axes and channel 1; LayerNorm passes the
     last axis as both. Returns ``(out, mean, var)``; mean and var are plain
     arrays with `axes` kept, for running statistics. The forward repeats
-    `batch_norm_stats` step for step, so all three equal the composite's bit
-    for bit. The backward is the closed form (Ioffe & Szegedy, 2015) with
+    `checks.batch_norm_stats` step for step, so all three equal the oracle's
+    bit for bit. The backward is the closed form (Ioffe & Szegedy, 2015) with
     ``gh = g * gamma``: ``gx = (gh - mean(gh) - xhat * mean(gh * xhat)) / std``;
     it keeps only ``xhat`` and ``std``.
     """

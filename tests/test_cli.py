@@ -1,5 +1,7 @@
 """CLI contracts: subcommands, determinism, exit codes, help texts."""
 
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -48,6 +50,12 @@ class TestSynth:
     def test_too_few_subjects_rejected(self, tmp_path):
         assert run_cli("synth", "--out", str(tmp_path / "x"), "--subjects", "1") == 1
 
+    def test_too_few_frames_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run_cli("synth", "--out", str(out), "--subjects", "2", "--frames", "4") == 1
+        assert "temporal stream needs T >= 5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_derived_count_formula(self, tmp_path):
         out = tmp_path / "c"
         assert run_cli("synth", "--out", str(out), "--subjects", "4", "--views", "11",
@@ -80,6 +88,52 @@ class TestTrainEval:
         assert (out / "report.tsv").exists() and (out / "report.md").exists()
         header = ranges.read_text().splitlines()[0]
         assert header == "stem\tpart\th_f\th_e\trow_lo\trow_hi"
+
+    @pytest.mark.parametrize("mode,cap", [("motion", 0), ("uniform", 0), ("motion", 5)])
+    def test_dump_ranges_match_model_rows(self, small_dataset, tmp_path, mode, cap):
+        """The dumped rows are the rows the model pools, frame cap included."""
+        from trigait.data import read_dataset
+        from trigait.model import preprocess_silhouettes
+        from trigait.tensor import Tensor, no_grad
+        from trigait.train import load_training_checkpoint
+
+        run, ranges = tmp_path / "run", tmp_path / "ranges.tsv"
+        assert run_cli(
+            "train", "--data", str(small_dataset), "--out", str(run), "--iterations", "1",
+            "--miniature", "--partition-mode", mode, "--batch-subjects", "3",
+            "--batch-sequences", "2", "--seed", "2", "--eval-max-frames", str(cap),
+        ) == 0
+        assert run_cli(
+            "eval", "--data", str(small_dataset), "--checkpoint", str(run / "model.tgck"),
+            "--out", str(tmp_path / "e"), "--dump-ranges", str(ranges),
+        ) == 0
+        dumped = {}
+        for line in ranges.read_text().splitlines()[1:]:
+            stem, _, _, _, lo, hi = line.split("\t")
+            dumped.setdefault(stem, []).append([int(lo), int(hi)])
+
+        net = load_training_checkpoint(run / "model.tgck").net.eval()
+        ds = read_dataset(small_dataset)
+        frames, _ = ds.load_pair(ds.records()[0])
+        sil = preprocess_silhouettes(frames[None], 16)
+        with no_grad():
+            h_feat = net.silhouette(Tensor(sil[:, None]))[1].shape[3]  # first stem map rows
+        assert len(dumped) == len(ds)
+        for rec in ds.records():
+            joints = ds.load_pair(rec)[1][None, : cap or None]
+            assert dumped[rec.stem] == net.fusion.part_rows(joints, h_feat)[0].tolist()
+
+    def test_eval_rejects_short_checkpoint_header(self, small_dataset, tmp_path):
+        short = tmp_path / "short.tgck"
+        short.write_bytes(b"TGCK\x01\x00")  # good magic, 6 of the header's 12 bytes
+        proc = subprocess.run(
+            [sys.executable, "-m", "trigait.cli", "eval", "--data", str(small_dataset),
+             "--checkpoint", str(short), "--out", str(tmp_path / "e")],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {short}: ")
+        assert "Traceback" not in proc.stderr
 
     def test_uniform_partition_mode_wiring(self, small_dataset, tmp_path):
         run = tmp_path / "up"

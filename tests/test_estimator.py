@@ -79,6 +79,16 @@ class TestEstimatorFit:
         assert emb.shape == (len(dataset), 64, 11)  # miniature: 64 ch, 4+7 parts
         assert np.isfinite(emb).all()
 
+    def test_fit_transform_equals_transform(self, dataset, tmp_path):
+        est = GaitEmbedder(
+            iterations=2, batch_subjects=3, batch_sequences=2, seed=1,
+            work_dir=str(tmp_path / "w"),
+        )
+        emb = est.fit_transform(dataset)
+        pairs = [dataset.load_pair(r) for r in dataset.records()]
+        want = est.transform(pairs)
+        assert emb.shape == want.shape and emb.tobytes() == want.tobytes()
+
     def test_transform_accepts_single_pair(self, dataset, tmp_path):
         est = GaitEmbedder(
             iterations=2, batch_subjects=3, batch_sequences=2, seed=1,

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from trigait.checkpoint import load_checkpoint, save_checkpoint
 from trigait.data import (
     BatchSpec,
     read_dataset,
@@ -167,6 +168,35 @@ class TestRenderGolden:
         assert h.hexdigest() == GOLDEN_RENDERS[(condition, seed, view)]
 
 
+# sha256 of one file per format, written from fixed inputs; any change to the
+# on-disk bytes of TGSL, TGKT or TGCK shows here
+GOLDEN_FILES = {
+    "tgsl": "c99f564c3c2d79f81da3046630005ea21ef1a62610dfbef46e5591df9c2e920a",
+    "tgkt": "90f8bca251142fcfee01d9fc7373ded15fb76c0eca21bf07ca67ea12a79d1843",
+    "tgck": "00d62808b1932d2b16018508ee169c241eda6abc430d69b0db94e149b1147cc8",
+}
+
+
+def write_fixed_files(root):
+    """One TGSL, TGKT and TGCK file from fixed inputs, as root/a.<ext>."""
+    ske, sil = render_sequence(synth_subject(77), "NM", 36, T=5, seed=4)
+    write_silhouette(root / "a.tgsl", sil)
+    write_keypoints(root / "a.tgkt", ske)
+    save_checkpoint(root / "a.tgck", {
+        "a.weight": np.arange(24.0).reshape(3, 4, 2) / 7.0,
+        "b": np.array(3.25),
+        "c.running_var": np.linspace(-1.0, 1.0, 7),
+    })
+    return root
+
+
+class TestFileBytesGolden:
+    @pytest.mark.parametrize("ext", sorted(GOLDEN_FILES))
+    def test_sha256_matches_golden(self, tmp_path, ext):
+        raw = (write_fixed_files(tmp_path) / f"a.{ext}").read_bytes()
+        assert hashlib.sha256(raw).hexdigest() == GOLDEN_FILES[ext]
+
+
 def make_tiny_dataset(root, n_subjects=3, views=(0, 90), seqs_per_view=2, T=32):
     pairs = []
     for sid in range(n_subjects):
@@ -215,12 +245,9 @@ class TestDatasetIO:
 
     @pytest.fixture
     def written(self, tmp_path):
-        ske, sil = render_sequence(synth_subject(77), "NM", 36, T=5, seed=4)
-        write_silhouette(tmp_path / "a.tgsl", sil)
-        write_keypoints(tmp_path / "a.tgkt", ske)
-        return tmp_path
+        return write_fixed_files(tmp_path)
 
-    @pytest.mark.parametrize("name,header", [("a.tgsl", 20), ("a.tgkt", 16)])
+    @pytest.mark.parametrize("name,header", [("a.tgsl", 20), ("a.tgkt", 16), ("a.tgck", 12)])
     @pytest.mark.parametrize(
         "damage",
         [
@@ -234,9 +261,10 @@ class TestDatasetIO:
     def test_wrong_length_rejected_with_path(self, written, name, header, damage):
         path = written / name
         path.write_bytes(damage(path.read_bytes(), header))
-        reader = read_silhouette_frames if name.endswith(".tgsl") else read_keypoints
+        readers = {".tgsl": read_silhouette_frames, ".tgkt": read_keypoints,
+                   ".tgck": load_checkpoint}
         with pytest.raises(ValueError) as ei:
-            reader(path)
+            readers[path.suffix](path)
         assert str(path) in str(ei.value)
 
     def test_nan_keypoint_rejected_with_path(self, written):

@@ -5,14 +5,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trigait.checks import attention_over_axis
+from trigait.checks import attention_over_axis, batch_norm_stats
 from trigait.gradcheck import gradcheck
 from trigait.tensor import (
     ShapeError,
     Tensor,
     attention,
     batch_all_triplet,
-    batch_norm_stats,
     concat,
     conv,
     gem,
@@ -22,12 +21,10 @@ from trigait.tensor import (
     no_grad,
     normalize,
     pairwise_part_distances,
-    pool,
     sigmoid,
     softmax,
     softplus,
     stack,
-    take,
 )
 
 
@@ -403,14 +400,14 @@ class TestSigmoidAndFriends:
 
 class TestPool:
     def test_max_def(self):
-        assert pool(Tensor([1.0, 3.0, 2.0]), axes=0, kind="max").item() == 3.0
+        assert Tensor([1.0, 3.0, 2.0]).max(axis=0).item() == 3.0
 
     def test_avg_def(self):
-        assert pool(Tensor([1.0, 3.0]), axes=0, kind="avg").item() == 2.0
+        assert Tensor([1.0, 3.0]).mean(axis=0).item() == 2.0
 
     def test_max_tie_routes_first_rowmajor(self):
         x = Tensor([1.0, 3.0, 3.0], requires_grad=True)
-        pool(x, axes=0, kind="max").backward()
+        x.max(axis=0).backward()
         np.testing.assert_array_equal(x.grad, [0.0, 1.0, 0.0])
 
     def test_max_multiaxis_tie_rowmajor(self):
@@ -421,7 +418,7 @@ class TestPool:
     @pytest.mark.parametrize("kind", ["max", "avg"])
     def test_gradcheck(self, kind):
         err = gradcheck(
-            lambda x: pool(x, axes=(1, 3), kind=kind),
+            lambda x: x.max(axis=(1, 3)) if kind == "max" else x.mean(axis=(1, 3)),
             [rng(12).uniform(-1, 1, (2, 3, 2, 4))],
         )
         assert err < 1e-4
@@ -554,7 +551,7 @@ class TestShapeOps:
         def fn(at, bt):
             c = concat([at, bt], axis=1)          # (2, 5)
             s = stack([c, c * 2.0], axis=0)       # (2, 2, 5)
-            t = take(s, [0, 2, 2], axis=2)        # duplicated index
+            t = s[:, :, [0, 2, 2]]                # duplicated index
             return t[:, 1:, ::2]
 
         err = gradcheck(fn, [a, b])
