@@ -2,20 +2,4 @@
 branches on a self-contained float64 autodiff core, with metric-learning
 training and rank-1 gallery/probe evaluation on synthetic walking data."""
 
-from .config import RunConfig
-from .estimator import GaitEmbedder
-from .model import ModelConfig, TriGaitNet, miniature_model_config
-from .tensor import Tensor, no_grad
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "GaitEmbedder",
-    "ModelConfig",
-    "RunConfig",
-    "Tensor",
-    "TriGaitNet",
-    "miniature_model_config",
-    "no_grad",
-    "__version__",
-]

@@ -11,9 +11,11 @@ import math
 
 import numpy as np
 
+from .config import RunConfig
 from .fusion import PARTS, motion_ranges, neck_normalize, uniform_partition_ranges
 from .gradcheck import gradcheck, model_param_gradcheck
 from .losses import triplet_ba_loss
+from .model import TriGaitNet, preprocess_silhouettes
 from .skeleton import JsaTcBlock
 from .silhouette import SpatialRefine
 from .synth import CONDITIONS, render_sequence, synth_subject
@@ -352,9 +354,7 @@ def _determinism():
     k1, s1 = render_sequence(subj, "BG", 126, T=6, seed=5)
     k2, s2 = render_sequence(subj, "BG", 126, T=6, seed=5)
     assert np.array_equal(k1.joints, k2.joints) and np.array_equal(s1.frames, s2.frames)
-    from .model import TriGaitNet, miniature_model_config, preprocess_silhouettes
-
-    net = TriGaitNet(miniature_model_config(num_subjects=2), _rng(16))
+    net = TriGaitNet(RunConfig(miniature=True), 2, _rng(16))
     net.eval()
     sil = preprocess_silhouettes(s1.frames[None], 16)
     e1 = net.forward(sil, k1.joints[None]).data

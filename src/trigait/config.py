@@ -1,4 +1,5 @@
-"""Run configuration: defaults, text-file parsing, validation, hashing.
+"""Run configuration, the one home of every setting: defaults, text-file
+parsing, validation of the run and the network shapes alike, hashing.
 
 Config files are line-oriented ``key = value`` text with ``#`` comments.
 Unknown keys are rejected and every validation problem is reported at once.
@@ -10,11 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-
-from .fusion import FusionConfig
-from .model import ModelConfig
-from .silhouette import SilhouetteConfig
-from .skeleton import SkeletonConfig
 
 
 @dataclass
@@ -72,30 +68,9 @@ class RunConfig:
         values["miniature"] = True
         return RunConfig(**values)
 
-    def model_config(self, num_subjects: int) -> ModelConfig:
-        r = self.resolved()
-        return ModelConfig(
-            silhouette=SilhouetteConfig(
-                in_hw=r.input_size,
-                stem_channels=tuple(r.sil_channels),
-                parts=r.sil_parts,
-                reduction=r.sil_reduction,
-                dilations=tuple(r.sil_dilations),
-                gem_p_init=r.gem_p_init,
-            ),
-            skeleton=SkeletonConfig(
-                channels=tuple(r.ske_channels),
-                heads=r.ske_heads,
-                tc_kernel=r.tc_kernel,
-            ),
-            fusion=FusionConfig(
-                dim=r.embed_dim, heads=r.fusion_heads, partition_mode=r.partition_mode
-            ),
-            num_subjects=num_subjects,
-            margin=r.margin,
-        )
-
     def validate(self) -> list[str]:
+        """Every problem with the run and the network shapes, checked on the
+        resolved values; divisors are checked to be >= 1 before any modulo."""
         errors = []
         r = self.resolved()
         for key in ("lr", "lr_after_drop", "margin"):
@@ -109,9 +84,21 @@ class RunConfig:
             "log_every",
             "checkpoint_every",
             "embed_dim",
+            "input_size",
+            "sil_parts",
+            "sil_reduction",
+            "ske_heads",
+            "fusion_heads",
         ):
             if getattr(r, key) < 1:
                 errors.append(f"{key} must be >= 1, got {getattr(r, key)}")
+        for key in ("sil_channels", "sil_dilations", "ske_channels"):
+            values = tuple(getattr(r, key))
+            if not values or min(values) < 1:
+                errors.append(f"{key} must be one or more integers >= 1, got {values}")
+        if r.tc_kernel < 1 or r.tc_kernel % 2 == 0:
+            # an even kernel shortens the time axis and breaks the residual sum
+            errors.append(f"tc_kernel must be odd and >= 1, got {r.tc_kernel}")
         if not 0 <= r.momentum < 1:
             errors.append(f"momentum must be in [0, 1), got {r.momentum}")
         if r.weight_decay < 0:
@@ -124,7 +111,26 @@ class RunConfig:
             given = getattr(self, key)
             if self.miniature and given not in (getattr(RunConfig, key), preset):
                 errors.append(f"{key} = {given} conflicts with the miniature preset's {preset}")
-        errors.extend(r.model_config(num_subjects=2).validate())
+        if len(r.sil_channels) < 2:
+            # blocks 0 and 1 apply the two 2x2 poolings behind input_size // 4
+            errors.append(f"stem_channels needs at least 2 blocks, got {len(r.sil_channels)}")
+        if r.input_size % 4 != 0:
+            errors.append(f"input size {r.input_size} must be divisible by 4")
+        feat_hw = r.input_size // 4
+        if r.sil_parts >= 1 and feat_hw % r.sil_parts != 0:
+            errors.append(f"parts={r.sil_parts} must divide the feature height {feat_hw}")
+        if r.sil_channels and r.sil_reduction >= 1 and r.sil_channels[-1] % r.sil_reduction:
+            errors.append(
+                f"reduction={r.sil_reduction} must divide channels {r.sil_channels[-1]}"
+            )
+        if r.ske_heads >= 1 and any(c % r.ske_heads for c in r.ske_channels):
+            errors.append(
+                f"channels {tuple(r.ske_channels)} must be divisible by heads {r.ske_heads}"
+            )
+        if r.partition_mode not in ("motion", "uniform"):
+            errors.append(f"partition_mode must be motion|uniform, got {r.partition_mode!r}")
+        if r.fusion_heads >= 1 and r.embed_dim % r.fusion_heads != 0:
+            errors.append(f"fusion dim {r.embed_dim} must be divisible by heads {r.fusion_heads}")
         return errors
 
     # -- text round trip ------------------------------------------------------

@@ -180,36 +180,19 @@ class TransformerEncoderLayer(Module):
         return self.norm2(x + ff)
 
 
-@dataclass
-class FusionConfig:
-    dim: int = 256
-    heads: int = 8
-    partition_mode: str = "motion"   # motion | uniform
-
-    def validate(self) -> list[str]:
-        errors = []
-        if self.partition_mode not in ("motion", "uniform"):
-            errors.append(f"partition_mode must be motion|uniform, got {self.partition_mode!r}")
-        if self.dim % self.heads != 0:
-            errors.append(f"fusion dim {self.dim} must be divisible by heads {self.heads}")
-        return errors
-
-
 class FusionBranch(Module):
     """(first stem map, first JSA-TC map, raw joints) -> (N, dim, 7)."""
 
-    def __init__(self, c1: int, c2: int, cfg: FusionConfig, rng: np.random.Generator):
+    def __init__(self, c1: int, c2: int, dim: int, heads: int, partition_mode: str,
+                 rng: np.random.Generator):
         super().__init__()
-        problems = cfg.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-        self.cfg = cfg
-        self.entry = Linear(c1 + c2, cfg.dim, rng)
-        self.layer = TransformerEncoderLayer(cfg.dim, cfg.heads, rng)
+        self.partition_mode = partition_mode   # motion | uniform
+        self.entry = Linear(c1 + c2, dim, rng)
+        self.layer = TransformerEncoderLayer(dim, heads, rng)
 
     def part_rows(self, joints: np.ndarray, h_feat: int) -> np.ndarray:
         n = joints.shape[0]
-        if self.cfg.partition_mode == "uniform":
+        if self.partition_mode == "uniform":
             return uniform_row_ranges(h_feat, n)
         return motion_row_ranges(neck_normalize(joints), h_feat)
 

@@ -4,43 +4,16 @@ and the classification head."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fusion import FusionBranch, FusionConfig
+from .config import RunConfig
+from .fusion import FusionBranch
 from .losses import LossReport, cross_entropy, triplet_ba_loss
 from .nn import Linear, Module, Parameter
-from .silhouette import SilhouetteBranch, SilhouetteConfig
-from .skeleton import SkeletonBranch, SkeletonConfig
+from .silhouette import SilhouetteBranch
+from .skeleton import SkeletonBranch
 from .tensor import Tensor, concat, matmul
-
-
-@dataclass
-class ModelConfig:
-    silhouette: SilhouetteConfig = field(default_factory=SilhouetteConfig)
-    skeleton: SkeletonConfig = field(default_factory=SkeletonConfig)
-    fusion: FusionConfig = field(default_factory=FusionConfig)
-    num_subjects: int = 8
-    margin: float = 0.2
-
-    @property
-    def unimodal_parts(self) -> int:
-        return self.silhouette.feat_hw
-
-    def validate(self) -> list[str]:
-        errors = self.silhouette.validate() + self.skeleton.validate() + self.fusion.validate()
-        if self.num_subjects < 2:
-            errors.append(f"num_subjects must be >= 2, got {self.num_subjects}")
-        return errors
-
-
-def miniature_model_config(num_subjects: int = 8) -> ModelConfig:
-    """Desk-scale shape set (`RunConfig.MINIATURE_OVERRIDES`) used by the
-    gradient checks and fast training."""
-    from .config import RunConfig  # config imports this module
-
-    return RunConfig(miniature=True).model_config(num_subjects)
 
 
 class PartwiseLinear(Module):
@@ -74,32 +47,37 @@ class GaitAssembler(Module):
 
 
 class TriGaitNet(Module):
-    """End-to-end tri-branch embedding network."""
+    """End-to-end tri-branch embedding network, built from the resolved run
+    config: the one place that turns its settings into branch sizes."""
 
-    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
+    def __init__(self, config: RunConfig, num_subjects: int, rng: np.random.Generator):
         super().__init__()
-        problems = cfg.validate()
+        problems = config.validate()
+        if num_subjects < 2:
+            problems.append(f"num_subjects must be >= 2, got {num_subjects}")
         if problems:
             raise ValueError("invalid model config: " + "; ".join(problems))
-        self.cfg = cfg
-        self.silhouette = SilhouetteBranch(cfg.silhouette, rng)
-        self.skeleton = SkeletonBranch(cfg.skeleton, cfg.unimodal_parts, rng)
+        c = config.resolved()
+        parts = c.input_size // 4                     # after the stem's two 2x2 poolings
+        self.margin = c.margin
+        self.silhouette = SilhouetteBranch(
+            c.sil_channels, c.sil_parts, c.sil_reduction, c.sil_dilations, c.gem_p_init, rng
+        )
+        self.skeleton = SkeletonBranch(c.ske_channels, c.ske_heads, c.tc_kernel, parts, rng)
         self.fusion = FusionBranch(
-            cfg.silhouette.stem_channels[0], cfg.skeleton.channels[0], cfg.fusion, rng
+            c.sil_channels[0], c.ske_channels[0], c.embed_dim, c.fusion_heads,
+            c.partition_mode, rng,
         )
+        # the silhouette branch concatenates appearance and motion channels
         self.assembler = GaitAssembler(
-            cfg.silhouette.out_channels,
-            cfg.skeleton.channels[-1],
-            cfg.unimodal_parts,
-            cfg.fusion.dim,
-            rng,
+            2 * c.sil_channels[-1], c.ske_channels[-1], parts, c.embed_dim, rng
         )
-        self.classifier = Linear(cfg.fusion.dim, cfg.num_subjects, rng)
+        self.classifier = Linear(c.embed_dim, num_subjects, rng)
 
     def forward(self, silhouettes: np.ndarray, joints: np.ndarray) -> Tensor:
         """silhouettes: (N, T, H, W) in [0, 1]; joints: (N, T, 17, 2) pixels.
 
-        Returns part embeddings (N, fusion.dim, P1 + 7).
+        Returns part embeddings (N, embed_dim, input_size // 4 + 7).
         """
         sil = np.asarray(silhouettes, dtype=np.float64)
         n, t, h, w = sil.shape
@@ -115,7 +93,7 @@ class TriGaitNet(Module):
 
     def loss(self, embeddings: Tensor, labels: np.ndarray):
         """Combined metric + classification loss; returns (Tensor, LossReport)."""
-        l_tri, active = triplet_ba_loss(embeddings, labels, self.cfg.margin)
+        l_tri, active = triplet_ba_loss(embeddings, labels, self.margin)
         l_ce = cross_entropy(self.logits(embeddings), labels)
         total = l_tri + l_ce
         report = LossReport(

@@ -11,49 +11,12 @@ features concatenate along channels into the branch output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import BatchNorm, Conv, GeMPool, Module, ModuleList
 from .tensor import Tensor, concat, leaky_relu, relu, sigmoid, stack
 
 LEAK = 0.01
-
-
-@dataclass
-class SilhouetteConfig:
-    in_hw: int = 64
-    stem_channels: tuple = (32, 64, 128, 128)
-    parts: int = 8                 # horizontal strips in the spatial stream
-    reduction: int = 16            # channel reduction inside attention
-    dilations: tuple = (1, 2, 3)   # temporal conv dilation rates
-    gem_p_init: float = 1.0
-
-    @property
-    def feat_hw(self) -> int:
-        return self.in_hw // 4     # two 2x2 poolings
-
-    @property
-    def out_channels(self) -> int:
-        return 2 * self.stem_channels[-1]
-
-    def validate(self) -> list[str]:
-        errors = []
-        if len(self.stem_channels) < 2:
-            # blocks 0 and 1 apply the two 2x2 poolings that feat_hw assumes
-            errors.append(f"stem_channels needs at least 2 blocks, got {len(self.stem_channels)}")
-        if self.in_hw % 4 != 0:
-            errors.append(f"input size {self.in_hw} must be divisible by 4")
-        if self.feat_hw % self.parts != 0:
-            errors.append(
-                f"parts={self.parts} must divide the feature height {self.feat_hw}"
-            )
-        if self.stem_channels and self.stem_channels[-1] % self.reduction != 0:
-            errors.append(
-                f"reduction={self.reduction} must divide channels {self.stem_channels[-1]}"
-            )
-        return errors
 
 
 def max_pool_2x2(x: Tensor) -> Tensor:
@@ -106,33 +69,35 @@ class SpatialRefine(Module):
 
 
 class SilhouetteBranch(Module):
-    """(N, 1, T, H, W) -> (N, 2C, H/4) appearance+motion feature."""
+    """(N, 1, T, H, W) -> (N, 2C, H/4) appearance+motion feature. `reduction`
+    squeezes channels inside each attention gate; `dilations` are the temporal
+    convs' rates."""
 
-    def __init__(self, cfg: SilhouetteConfig, rng: np.random.Generator):
+    def __init__(
+        self,
+        channels: tuple,
+        parts: int,
+        reduction: int,
+        dilations: tuple,
+        gem_p_init: float,
+        rng: np.random.Generator,
+    ):
         super().__init__()
-        problems = cfg.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-        self.cfg = cfg
-        chans = (1,) + tuple(cfg.stem_channels)
+        self.parts = parts             # horizontal strips in the spatial stream
+        chans = (1,) + tuple(channels)
         self.blocks = ModuleList(
-            [
-                StemBlock(chans[i], chans[i + 1], rng, pool=i < 2)
-                for i in range(len(cfg.stem_channels))
-            ]
+            [StemBlock(chans[i], chans[i + 1], rng, pool=i < 2) for i in range(len(channels))]
         )
-        c = cfg.stem_channels[-1]
-        self.global_refine = SpatialRefine(c, cfg.reduction, rng)
-        self.local_refines = ModuleList(
-            [SpatialRefine(c, cfg.reduction, rng) for _ in range(cfg.parts)]
-        )
-        self.gem_appearance = GeMPool(axis=-1, p_init=cfg.gem_p_init)
-        self.gem_temporal = GeMPool(axis=-1, p_init=cfg.gem_p_init)
+        c = channels[-1]
+        self.global_refine = SpatialRefine(c, reduction, rng)
+        self.local_refines = ModuleList([SpatialRefine(c, reduction, rng) for _ in range(parts)])
+        self.gem_appearance = GeMPool(axis=-1, p_init=gem_p_init)
+        self.gem_temporal = GeMPool(axis=-1, p_init=gem_p_init)
         # bias-free so that zero features propagate to zero motion output
         self.temporal_convs = ModuleList(
             [
                 Conv(c, c, (3, 1), rng, dilation=(d, 1), padding=(d, 0), bias=False)
-                for d in cfg.dilations
+                for d in dilations
             ]
         )
         self.mta_conv1 = Conv(c, c, (3, 3), rng, padding=1)
@@ -158,7 +123,7 @@ class SilhouetteBranch(Module):
 
     def appearance_feature(self, f_s: Tensor) -> Tensor:
         """(N, C, H, W) -> (N, C, H): global+local refined, GeM over width."""
-        n_parts = self.cfg.parts
+        n_parts = self.parts
         h = f_s.shape[2]
         if h % n_parts != 0:
             raise ValueError(f"parts={n_parts} does not divide feature height {h}")

@@ -9,8 +9,6 @@ the silhouette part axis so the two branch outputs can be fused per part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nn import BatchNorm, Conv, Linear, Module, ModuleList
@@ -95,38 +93,20 @@ def adaptive_avg_pool_axis(x: Tensor, out_size: int) -> Tensor:
     return matmul(x, Tensor(inside / (hi - lo)))
 
 
-@dataclass
-class SkeletonConfig:
-    channels: tuple = (64, 64, 128, 256)
-    heads: int = 8
-    tc_kernel: int = 3
-
-    def validate(self) -> list[str]:
-        errors = []
-        for c in self.channels:
-            if c % self.heads != 0:
-                errors.append(f"channels {self.channels} must be divisible by heads {self.heads}")
-                break
-        return errors
-
-
 class SkeletonBranch(Module):
     """(N, T, 17, 2) raw joints -> (N, C_last, parts); the joint axis is
     pooled onto the silhouette part axis."""
 
-    def __init__(self, cfg: SkeletonConfig, parts: int, rng: np.random.Generator):
+    def __init__(self, channels: tuple, heads: int, tc_kernel: int, parts: int,
+                 rng: np.random.Generator):
         super().__init__()
-        problems = cfg.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
-        self.cfg = cfg
         self.parts = parts
         self.input_bn = BatchNorm(MULTI_INPUT_CHANNELS)
-        chans = (MULTI_INPUT_CHANNELS,) + tuple(cfg.channels)
+        chans = (MULTI_INPUT_CHANNELS,) + tuple(channels)
         self.blocks = ModuleList(
             [
-                JsaTcBlock(chans[i], chans[i + 1], cfg.heads, rng, cfg.tc_kernel)
-                for i in range(len(cfg.channels))
+                JsaTcBlock(chans[i], chans[i + 1], heads, rng, tc_kernel)
+                for i in range(len(channels))
             ]
         )
 

@@ -35,9 +35,7 @@ def _floats_to_text(arr: np.ndarray) -> str:
 
 
 def build_network(config: RunConfig, num_subjects: int) -> TriGaitNet:
-    net = TriGaitNet(
-        config.model_config(num_subjects), np.random.default_rng((config.seed, _INIT_TAG))
-    )
+    net = TriGaitNet(config, num_subjects, np.random.default_rng((config.seed, _INIT_TAG)))
     for name, p in net.named_parameters():
         p.name = name
     return net

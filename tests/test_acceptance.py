@@ -24,9 +24,10 @@ from trigait.checks import (
     bruteforce_motion_rows,
     bruteforce_rank1,
 )
+from trigait.config import RunConfig
 from trigait.gradcheck import gradcheck, model_param_gradcheck
 from trigait.losses import triplet_ba_loss
-from trigait.model import ModelConfig, TriGaitNet, miniature_model_config, preprocess_silhouettes
+from trigait.model import TriGaitNet, preprocess_silhouettes
 from trigait.silhouette import SilhouetteBranch, SpatialRefine
 from trigait.skeleton import JsaTcBlock, SkeletonBranch
 from trigait.synth import render_sequence, synth_subject
@@ -53,6 +54,14 @@ ORACLE_TOL = 1e-9
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+MINI = RunConfig(miniature=True).resolved()
+
+
+def miniature_silhouette_branch(generator):
+    return SilhouetteBranch(MINI.sil_channels, MINI.sil_parts, MINI.sil_reduction,
+                            MINI.sil_dilations, MINI.gem_p_init, generator)
 
 
 def run_cli(*argv):
@@ -114,20 +123,21 @@ class TestCriterion1Gradients:
         assert err < OP_TOL, f"triplet: rel err {err:.3e}"
 
         # full branches at the miniature shapes: T=5, 16x16, 17 joints
-        mini = miniature_model_config(num_subjects=4)
-        sil_branch = SilhouetteBranch(mini.silhouette, rng(103))
+        sil_branch = miniature_silhouette_branch(rng(103))
         x = rng(104).uniform(0, 1, (1, 1, 5, 16, 16))
         err = model_param_gradcheck(sil_branch, lambda xt: sil_branch(xt)[0], [x],
                                     n_params=5, n_coords=3, seed=105)
         assert err < BRANCH_TOL, f"silhouette branch: rel err {err:.3e}"
 
-        ske_branch = SkeletonBranch(mini.skeleton, mini.unimodal_parts, rng(106))
+        ske_branch = SkeletonBranch(
+            MINI.ske_channels, MINI.ske_heads, MINI.tc_kernel, MINI.input_size // 4, rng(106)
+        )
         joints = walking_pair(seed=2, t=5)[0].joints[None]
         err = model_param_gradcheck(ske_branch, lambda: ske_branch(joints)[0], [],
                                     n_params=5, n_coords=3, seed=107)
         assert err < BRANCH_TOL, f"skeleton branch: rel err {err:.3e}"
 
-        net = TriGaitNet(miniature_model_config(num_subjects=2), rng(108))
+        net = TriGaitNet(RunConfig(miniature=True), 2, rng(108))
         pairs = [walking_pair(seed=s, t=5) for s in (3, 4, 5, 6)]
         sils = preprocess_silhouettes(np.stack([p[1].frames for p in pairs]), 16)
         skes = np.stack([p[0].joints for p in pairs])
@@ -171,7 +181,7 @@ class TestCriterion2Invariants:
             prev = cur
 
         # spatial/temporal attention maps live strictly inside (0, 1)
-        branch = SilhouetteBranch(miniature_model_config(4).silhouette, rng(201))
+        branch = miniature_silhouette_branch(rng(201))
         ske, sil = walking_pair(seed=5, t=5)
         f, _ = branch.stem_forward(Tensor(preprocess_silhouettes(sil.frames[None], 16)[:, None]))
         s_a = branch.global_refine.attention(f.max(axis=2)).data
@@ -240,7 +250,7 @@ class TestCriterion3Oracles:
 
 class TestCriterion4ShapeContract:
     def test_embedding_shape_and_alpha_null(self):
-        net = TriGaitNet(ModelConfig(num_subjects=4), rng(400))
+        net = TriGaitNet(RunConfig(), 4, rng(400))
         ske, sil = walking_pair(seed=6, t=5)
         emb = net.forward(sil.frames[None].astype(np.float64), ske.joints[None])
         assert emb.shape == (1, 256, 23)  # 16 unimodal-fused + 7 cross-modal parts

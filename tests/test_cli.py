@@ -206,6 +206,20 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "batch_frames = 12 conflicts with the miniature preset's 5" in err
 
+    @pytest.mark.parametrize(
+        "line",
+        ["sil_parts = 0", "sil_reduction = 0", "ske_heads = 0", "fusion_heads = 0",
+         "input_size = 0", "tc_kernel = 2"],
+    )
+    def test_zero_or_even_divisor_rejected(self, small_dataset, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
+        code = run_cli("train", "--data", str(small_dataset), "--out", str(tmp_path / "o"),
+                       "--config", str(bad), "--iterations", "1")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and line.split(" =")[0] in err and "Traceback" not in err
+
     def test_bad_dataset_path_nonzero(self, tmp_path):
         assert run_cli("train", "--data", str(tmp_path / "none"),
                        "--out", str(tmp_path / "o"), "--iterations", "1") == 1
@@ -259,6 +273,13 @@ class TestMisc:
         assert run_cli("synth", "--out", str(b), *args, "--seed", "77") == 0
         for f in sorted(a.iterdir()):
             assert f.read_bytes() == (b / f.name).read_bytes()
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # `--threads` sets the BLAS pool size, which only works before numpy loads
+        probe = "import sys, trigait.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestSeedPrecedence:

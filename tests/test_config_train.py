@@ -1,11 +1,14 @@
 """Config parsing/validation and training-loop contracts."""
 
+import re
+
 import numpy as np
 import pytest
 
 from trigait.checkpoint import save_checkpoint
 from trigait.config import RunConfig, load_config, parse_config_text
 from trigait.data import read_dataset
+from trigait.model import TriGaitNet
 from trigait.train import LOG_HEADER, Trainer, load_training_checkpoint
 
 from test_synth_data import make_tiny_dataset
@@ -80,6 +83,47 @@ class TestConfig:
         # feature map twice the height the fusion branch is built for
         cfg = RunConfig(input_size=16, sil_channels=(8,), sil_parts=4, sil_reduction=4)
         assert cfg.validate() == ["stem_channels needs at least 2 blocks, got 1"]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ({"input_size": 66}, "input size 66 must be divisible by 4"),
+            ({"sil_parts": 3}, "parts=3 must divide the feature height 16"),
+            ({"sil_reduction": 3}, "reduction=3 must divide channels 128"),
+            ({"ske_heads": 3}, "channels (64, 64, 128, 256) must be divisible by heads 3"),
+            ({"fusion_heads": 3}, "fusion dim 256 must be divisible by heads 3"),
+            ({"partition_mode": "x"}, "partition_mode must be motion|uniform, got 'x'"),
+        ],
+        ids=["input_size", "sil_parts", "sil_reduction", "ske_heads", "fusion_heads",
+             "partition_mode"],
+    )
+    def test_shape_rule_reported_once_and_raised_by_net(self, values, message):
+        cfg = RunConfig(**values)
+        assert cfg.validate().count(message) == 1
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TriGaitNet(cfg, 4, np.random.default_rng(0))
+
+    def test_net_needs_two_subjects(self):
+        with pytest.raises(ValueError, match="num_subjects must be >= 2, got 1"):
+            TriGaitNet(RunConfig(miniature=True), 1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("input_size", 0, "input_size must be >= 1, got 0"),
+            ("sil_parts", 0, "sil_parts must be >= 1, got 0"),
+            ("sil_reduction", 0, "sil_reduction must be >= 1, got 0"),
+            ("ske_heads", 0, "ske_heads must be >= 1, got 0"),
+            ("fusion_heads", 0, "fusion_heads must be >= 1, got 0"),
+            ("tc_kernel", 2, "tc_kernel must be odd and >= 1, got 2"),
+            ("tc_kernel", -1, "tc_kernel must be odd and >= 1, got -1"),
+            ("ske_channels", (0, 8), "ske_channels must be one or more integers >= 1, got (0, 8)"),
+        ],
+        ids=["input_size", "sil_parts", "sil_reduction", "ske_heads", "fusion_heads",
+             "tc_kernel_even", "tc_kernel_negative", "ske_channels"],
+    )
+    def test_bad_divisor_named_without_crash(self, key, value, message):
+        assert message in RunConfig(**{key: value}).validate()
 
     def test_miniature_resolution(self):
         r = RunConfig(miniature=True).resolved()

@@ -181,13 +181,14 @@ class _IndexNet:
 class TestEmbedAll:
     def test_shapes_determinism_distinctness(self, tmp_path):
         from trigait.evaluate import embed_all
-        from trigait.model import TriGaitNet, miniature_model_config, preprocess_silhouettes
+        from trigait.config import RunConfig
+        from trigait.model import TriGaitNet, preprocess_silhouettes
 
         from test_synth_data import make_tiny_dataset
 
         ds = make_tiny_dataset(tmp_path / "d", n_subjects=2, views=(0, 90),
                                seqs_per_view=1, T=32)
-        net = TriGaitNet(miniature_model_config(num_subjects=2), rng(9))
+        net = TriGaitNet(RunConfig(miniature=True), 2, rng(9))
         pre = lambda f: preprocess_silhouettes(f, 16)
         emb1, labels, views, conds, recs = embed_all(net, ds, pre, max_frames=10)
         emb2, *_ = embed_all(net, ds, pre, max_frames=10)

@@ -7,7 +7,6 @@ from trigait.checks import bruteforce_motion_rows
 from trigait.fusion import (
     PARTS,
     FusionBranch,
-    FusionConfig,
     TransformerEncoderLayer,
     cross_modal_tokens,
     motion_ranges,
@@ -252,8 +251,7 @@ class TestTransformerLayer:
 class TestFusionBranch:
     def test_output_shape_and_single_frame(self):
         # single frame: temporal max pool is the identity
-        cfg = FusionConfig(dim=16, heads=2)
-        branch = FusionBranch(c1=3, c2=4, cfg=cfg, rng=rng(22))
+        branch = FusionBranch(c1=3, c2=4, dim=16, heads=2, partition_mode="motion", rng=rng(22))
         joints = walking_joints(n=2, t=1, seed=23)
         f_x = Tensor(rng(24).uniform(0, 1, (2, 3, 1, 8, 8)))
         f_y = Tensor(rng(25).standard_normal((2, 4, 1, 17)))
@@ -271,8 +269,7 @@ class TestFusionBranch:
         assert (motion_rows != uniform_rows).any()
 
     def test_branch_gradcheck(self):
-        cfg = FusionConfig(dim=8, heads=2)
-        branch = FusionBranch(c1=2, c2=2, cfg=cfg, rng=rng(27))
+        branch = FusionBranch(c1=2, c2=2, dim=8, heads=2, partition_mode="motion", rng=rng(27))
         joints = walking_joints(n=1, t=3, seed=28)
         f_x = rng(29).uniform(0, 1, (1, 2, 3, 8, 4))
         f_y = rng(30).standard_normal((1, 2, 3, 17))

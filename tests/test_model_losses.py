@@ -1,5 +1,6 @@
 """Assembly, combined loss, and whole-model behaviour."""
 
+import hashlib
 import importlib.util
 import tracemalloc
 from pathlib import Path
@@ -8,18 +9,14 @@ import numpy as np
 import pytest
 
 from trigait.checks import bruteforce_batch_all
+from trigait.config import RunConfig
 from trigait.fusion import cross_modal_tokens, uniform_row_ranges
 from trigait.gradcheck import model_param_gradcheck
 from trigait.losses import cross_entropy, triplet_ba_loss
-from trigait.model import (
-    GaitAssembler,
-    ModelConfig,
-    TriGaitNet,
-    miniature_model_config,
-    preprocess_silhouettes,
-)
+from trigait.model import GaitAssembler, TriGaitNet, preprocess_silhouettes
 from trigait.synth import render_sequence, synth_subject
 from trigait.tensor import Tensor
+from trigait.train import build_network
 
 
 def rng(seed=0):
@@ -159,8 +156,7 @@ class TestAssembler:
 
 class TestFullModel:
     def test_paper_default_embedding_shape(self):
-        cfg = ModelConfig(num_subjects=4)
-        net = TriGaitNet(cfg, rng(15))
+        net = TriGaitNet(RunConfig(), 4, rng(15))
         sils, skes, _ = make_batch(n_subjects=1, per_subject=1, t=5)
         sil64 = preprocess_silhouettes(
             np.stack([render_sequence(synth_subject(0), "NM", 90, T=5, seed=0)[1].frames]),
@@ -170,7 +166,7 @@ class TestFullModel:
         assert emb.shape == (1, 256, 23)
 
     def test_loss_report_additivity_bit_exact(self):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(16))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(16))
         sils, skes, labels = make_batch()
         emb = net.forward(sils, skes)
         total, rep = net.loss(emb, labels)
@@ -178,7 +174,7 @@ class TestFullModel:
         assert float(total.data) == rep.total
 
     def test_full_model_gradcheck_miniature(self):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(17))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(17))
         sils, skes, labels = make_batch(n_subjects=2, per_subject=2)
 
         def loss_fn():
@@ -190,7 +186,7 @@ class TestFullModel:
         assert err < 1e-3
 
     def test_forward_deterministic(self):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(19))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(19))
         net.eval()
         sils, skes, _ = make_batch()
         e1 = net.forward(sils, skes).data
@@ -214,7 +210,7 @@ class TestEmbeddingRegression:
     GRAD_SQ = 87.48267227010255
 
     def test_eval_embeddings(self):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(0))
         net.eval()
         sils, skes, _ = make_batch()
         emb = net.forward(sils, skes).data
@@ -225,7 +221,7 @@ class TestEmbeddingRegression:
         np.testing.assert_allclose(np.abs(emb).sum(), self.ABS_SUM, rtol=1e-12)
 
     def test_train_step_loss_and_gradients(self):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(0))
         sils, skes, labels = make_batch()
         total, rep = net.loss(net.forward(sils, skes), labels)
         total.backward()
@@ -234,12 +230,27 @@ class TestEmbeddingRegression:
         np.testing.assert_allclose(grad_sq, self.GRAD_SQ, rtol=1e-12)
 
 
+class TestFullScaleInit:
+    """Pins the full-scale network's initial weights, recorded at commit
+    789dc96. Init draws from numpy's Generator and runs no BLAS, so one digest
+    is stable."""
+
+    DIGEST = "6fae8e61dc8abc47dd97954643ede69a7fd5c867683db3c4b1a291219ef9fc6a"
+
+    def test_state_dict_digest(self):
+        digest = hashlib.sha256()
+        for name, value in build_network(RunConfig(seed=0), 4).state_dict().items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+
 class TestBackwardMemory:
     """Backward frees the graph as it runs. tracemalloc counts numpy's
     buffers, so the bounds are in traced bytes: no wall clock, no RSS."""
 
     def test_backward_peak_and_bytes_left(self):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(0))
         sils, skes, labels = make_batch()  # N=8, T=5
         tracemalloc.start()
         try:
@@ -272,7 +283,7 @@ class TestGraphSize:
     """Graph nodes per training step, a design metric: counts only, no timing."""
 
     def test_training_step(self, graph_nodes):
-        net = TriGaitNet(miniature_model_config(num_subjects=4), rng(0))
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(0))
         sils, skes, labels = make_batch()  # N=8, T=5
         total, _ = net.loss(net.forward(sils, skes), labels)
         assert graph_nodes(total) <= 195
