@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .config import RunConfig
-from .fusion import PARTS, motion_ranges, neck_normalize, uniform_partition_ranges
+from .fusion import PARTS, neck_normalize, part_rows
 from .gradcheck import gradcheck, model_param_gradcheck
 from .losses import triplet_ba_loss
 from .model import TriGaitNet, preprocess_silhouettes
@@ -289,13 +289,12 @@ def _alignment_oracle():
     for seed in range(3):
         subj = synth_subject(40 + seed)
         ske, _ = render_sequence(subj, "NM", 54, T=12, seed=seed)
-        norm = neck_normalize(ske.joints)
-        got = motion_ranges(norm, h_feat=16)
-        want = bruteforce_motion_rows(norm, h_feat=16)
-        for (name, _), r, expected in zip(PARTS, got, want):
-            assert (r.h_f, r.h_e, r.row_lo, r.row_hi) == expected, name
-    bands = uniform_partition_ranges(16)
-    assert [b.row_hi - b.row_lo + 1 for b in bands] == [3, 3, 2, 2, 2, 2, 2]
+        rows, extents = part_rows(ske.joints[None], 16, "motion")
+        want = bruteforce_motion_rows(neck_normalize(ske.joints), h_feat=16)
+        for (name, _), e, r, expected in zip(PARTS, extents[0].tolist(), rows[0].tolist(), want):
+            assert (*e, *r) == expected, name
+    bands, _ = part_rows(ske.joints[None], 16, "uniform")
+    assert (bands[0, :, 1] - bands[0, :, 0] + 1).tolist() == [3, 3, 2, 2, 2, 2, 2]
 
 
 @check("triplet", "batch-all loss equals exhaustive enumeration")

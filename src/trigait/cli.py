@@ -1,10 +1,10 @@
 """Command-line entry point: synth | train | eval | check.
 
-`--threads N` pins the BLAS/OpenMP pool size and must take effect before
-numpy loads, so this module defers heavy imports into the subcommand
-handlers. `--threads 1` is the fully deterministic mode. Only synth and train
-draw random numbers; their seed comes from `--seed`, else (train only) the
-config file, else TRIGAIT_SEED, else 0.
+`--threads N` (else a `threads` line of the `--config` file) pins the
+BLAS/OpenMP pool size and must take effect before numpy loads, so this module
+defers heavy imports into the subcommand handlers. `--threads 1` is the fully
+deterministic mode. Only synth and train draw random numbers; their seed comes
+from `--seed`, else (train only) the config file, else TRIGAIT_SEED, else 0.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+from .config import RunConfig, load_config, parse_config_values
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -21,16 +23,20 @@ _THREAD_VARS = (
 )
 
 
-def _apply_thread_env(argv: list[str]) -> None:
-    value = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            value = argv[i + 1]
-        elif arg.startswith("--threads="):
-            value = arg.split("=", 1)[1]
-    if value and value.isdigit() and int(value) >= 1:
+def _apply_thread_env(args) -> None:
+    """Pin the BLAS/OpenMP pools to `--threads`, else to the `--config` file's
+    `threads`. A file that cannot be read or parsed is left to the subcommand,
+    which reports it."""
+    threads = args.threads
+    if threads is None and getattr(args, "config", None):
+        try:
+            with open(args.config) as fh:
+                threads = parse_config_values(fh.read(), source=args.config).get("threads")
+        except (OSError, ValueError):
+            pass
+    if threads and threads >= 1:
         for var in _THREAD_VARS:
-            os.environ[var] = value
+            os.environ[var] = str(threads)
 
 
 def _env_seed() -> int:
@@ -101,8 +107,6 @@ def cmd_synth(args) -> int:
 
 
 def _config_from_args(args):
-    from .config import RunConfig, parse_config_values
-
     values = {}
     if args.config:
         with open(args.config) as fh:
@@ -175,10 +179,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .config import load_config
     from .data import read_dataset
     from .evaluate import embed_all, emit_report, rank1, split_gallery_probe
-    from .fusion import motion_ranges, neck_normalize, uniform_partition_ranges
+    from .fusion import PARTS, part_rows
     from .model import preprocess_silhouettes
     from .train import load_training_checkpoint
 
@@ -187,18 +190,19 @@ def cmd_eval(args) -> int:
     cfg = loaded.config.resolved()
     dataset = read_dataset(args.data)
 
-    emb, labels, views, conditions, records = embed_all(
+    records = dataset.records()
+    split = split_gallery_probe(records)
+    if not split.gallery:
+        raise ValueError("eval: gallery is empty (no NM sequences with seq_index < 4)")
+    emb, labels, views, conditions, _ = embed_all(
         loaded.net,
         dataset,
         preprocess=lambda f: preprocess_silhouettes(f, cfg.input_size),
         max_frames=cfg.eval_max_frames,
     )
-    split = split_gallery_probe(records)
     stem_index = {r.stem: i for i, r in enumerate(records)}
     gal = np.array([stem_index[r.stem] for r in split.gallery])
     prb = np.array([stem_index[r.stem] for r in split.probes])
-    if gal.size == 0:
-        raise ValueError("eval: gallery is empty (no NM sequences with seq_index < 4)")
     report = rank1(
         emb[gal], labels[gal], views[gal],
         emb[prb], labels[prb], views[prb], conditions[prb],
@@ -218,14 +222,11 @@ def cmd_eval(args) -> int:
             fh.write("stem\tpart\th_f\th_e\trow_lo\trow_hi\n")
             for rec in records:
                 joints = dataset.load_pair(rec)[1][: cfg.eval_max_frames or None]
-                if cfg.partition_mode == "uniform":
-                    ranges = uniform_partition_ranges(h_feat)
-                else:
-                    ranges = motion_ranges(neck_normalize(joints), h_feat)
-                for r in ranges:
-                    fh.write(
-                        f"{rec.stem}\t{r.name}\t{r.h_f!r}\t{r.h_e!r}\t{r.row_lo}\t{r.row_hi}\n"
-                    )
+                rows, extents = part_rows(joints[None], h_feat, cfg.partition_mode)
+                for (name, _), (lo, hi), (h_f, h_e) in zip(
+                    PARTS, rows[0].tolist(), extents[0].tolist()
+                ):
+                    fh.write(f"{rec.stem}\t{name}\t{h_f!r}\t{h_e!r}\t{lo}\t{hi}\n")
 
     probed = {r.condition for r in split.probes}
     unprobed = [c for c in report.conditions if c not in probed]
@@ -296,10 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    _apply_thread_env(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    _apply_thread_env(args)
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, RuntimeError, OSError) as exc:

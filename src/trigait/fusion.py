@@ -3,15 +3,14 @@
 Low-level silhouette and skeleton features are aligned into 7 body-part
 tokens: the skeleton side indexes joints per part, the silhouette side slices
 feature-map rows covering the part's vertical motion range over the sequence
-(or fixed uniform bands in the ablation wiring). Each side is reduced by
-max-pool plus average-pool, concatenated over channels, fed through one
-transformer encoder layer across the 7 tokens per frame, and max-pooled over
-time.
+(or fixed uniform bands in the ablation wiring). `part_rows` is the one
+source of those rows, for the branch and for `trigait eval --dump-ranges`
+alike. Each side is reduced by max-pool plus average-pool, concatenated over
+channels, fed through one transformer encoder layer across the 7 tokens per
+frame, and max-pooled over time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,17 +36,6 @@ JOINT_MEMBERSHIP = np.array([[j in idx for _, idx in PARTS] for j in range(NUM_J
 _EXCLUDED = 1e30
 
 
-@dataclass
-class PartRange:
-    """Vertical motion range of one body part mapped onto feature rows."""
-
-    name: str
-    h_f: float       # lowest normalized vertical position reached (flexion)
-    h_e: float       # highest normalized vertical position reached (extension)
-    row_lo: int
-    row_hi: int
-
-
 def neck_normalize(joints: np.ndarray) -> np.ndarray:
     """Per frame: hip midpoint becomes the origin and coordinates are scaled
     so the neck proxy (shoulder midpoint) sits at vertical distance 1.
@@ -62,67 +50,40 @@ def neck_normalize(joints: np.ndarray) -> np.ndarray:
     bad = np.abs(neck_v) < 1e-9
     if bad.any():
         n, t = np.argwhere(bad)[0]
-        raise ValueError(f"neck_normalize: degenerate pose (zero neck height) at frame {t}")
+        raise ValueError(
+            f"neck_normalize: degenerate pose (zero neck height) at sequence {n}, frame {t}"
+        )
     scaled = (joints - origin[:, :, None, :]) / np.abs(neck_v)[:, :, None, None]
     return scaled[0] if squeeze else scaled
 
 
-def motion_row_ranges(normalized: np.ndarray, h_feat: int) -> np.ndarray:
-    """Map each part's vertical min/max onto feature rows.
+def part_rows(joints: np.ndarray, h_feat: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Inclusive feature rows and vertical extents of the 7 parts.
 
-    normalized: (N, T, K, 2). The sequence's global vertical extent spans rows
-    [0, h_feat - 1]; part ranges round outward and may overlap. -> (N, 7, 2).
+    joints: raw (N, T, K, 2). `motion`: each part's neck-normalized vertical
+    min/max over the sequence (h_f, h_e) is mapped onto rows, the sequence's
+    global vertical extent spanning [0, h_feat - 1]; ranges round outward and
+    may overlap. `uniform` (the ablation): equal contiguous bands covering
+    [0, h_feat), the remainder going to the topmost, with the rows themselves
+    as extents. -> rows (N, 7, 2) int64, extents (N, 7, 2) float64.
     """
-    v = normalized[..., 1]  # (N, T, K)
-    vmin = v.min(axis=(1, 2), keepdims=True)
-    vmax = v.max(axis=(1, 2), keepdims=True)
-    span = np.maximum(vmax - vmin, 1e-12)
-    rows = np.zeros((v.shape[0], NUM_PARTS, 2), dtype=np.int64)
-    for p, (_, idx) in enumerate(PARTS):
-        pv = v[:, :, list(idx)]
-        hf = pv.min(axis=(1, 2), keepdims=True)
-        he = pv.max(axis=(1, 2), keepdims=True)
-        lo = np.floor((hf - vmin) / span * (h_feat - 1))
-        hi = np.ceil((he - vmin) / span * (h_feat - 1))
-        rows[:, p, 0] = np.clip(lo[:, 0, 0], 0, h_feat - 1)
-        rows[:, p, 1] = np.clip(hi[:, 0, 0], 0, h_feat - 1)
-    rows[..., 1] = np.maximum(rows[..., 1], rows[..., 0])
-    return rows
-
-
-def motion_ranges(normalized: np.ndarray, h_feat: int) -> list[PartRange]:
-    """Single-sequence part ranges: (T, K, 2) normalized joints -> 7 PartRange."""
-    if normalized.ndim != 3:
-        raise ValueError(f"motion_ranges: want (T, K, 2), got {normalized.shape}")
-    rows = motion_row_ranges(normalized[None], h_feat)[0]
-    v = normalized[..., 1]
-    out = []
-    for p, (name, idx) in enumerate(PARTS):
-        pv = v[:, list(idx)]
-        out.append(
-            PartRange(name, float(pv.min()), float(pv.max()), int(rows[p, 0]), int(rows[p, 1]))
-        )
-    return out
-
-
-def uniform_partition_ranges(h_feat: int) -> list[PartRange]:
-    """Ablation wiring: equal contiguous row bands covering [0, h_feat), the
-    remainder going to the topmost bands."""
-    base, rem = divmod(h_feat, NUM_PARTS)
-    out = []
-    row = 0
-    for p, (name, _) in enumerate(PARTS):
-        height = base + (1 if p < rem else 0)
-        hi = row + height - 1
-        out.append(PartRange(name, float(row), float(hi), row, hi))
-        row += height
-    return out
-
-
-def uniform_row_ranges(h_feat: int, n: int) -> np.ndarray:
-    bands = uniform_partition_ranges(h_feat)
-    rows = np.array([[r.row_lo, r.row_hi] for r in bands], dtype=np.int64)
-    return np.broadcast_to(rows, (n, NUM_PARTS, 2)).copy()
+    if mode == "uniform":
+        heights = h_feat // NUM_PARTS + (np.arange(NUM_PARTS) < h_feat % NUM_PARTS)
+        hi = np.cumsum(heights) - 1
+        bands = np.stack([hi - heights + 1, hi], axis=1)
+        rows = np.broadcast_to(bands, (len(joints), NUM_PARTS, 2))
+        return rows.astype(np.int64), rows.astype(np.float64)
+    if mode != "motion":
+        raise ValueError(f"part_rows: mode must be motion or uniform, got {mode!r}")
+    v = neck_normalize(joints)[..., 1]  # (N, T, K)
+    h_f = np.stack([v[:, :, list(idx)].min(axis=(1, 2)) for _, idx in PARTS], axis=1)
+    h_e = np.stack([v[:, :, list(idx)].max(axis=(1, 2)) for _, idx in PARTS], axis=1)
+    vmin = v.min(axis=(1, 2))[:, None]
+    span = np.maximum(v.max(axis=(1, 2))[:, None] - vmin, 1e-12)
+    last = h_feat - 1
+    lo = np.clip(np.floor((h_f - vmin) / span * last), 0, last).astype(np.int64)
+    hi = np.clip(np.ceil((h_e - vmin) / span * last), 0, last).astype(np.int64)
+    return np.stack([lo, np.maximum(hi, lo)], axis=2), np.stack([h_f, h_e], axis=2)
 
 
 def _part_max_plus_mean(maxes: Tensor, means: Tensor, member: np.ndarray) -> Tensor:
@@ -190,14 +151,8 @@ class FusionBranch(Module):
         self.entry = Linear(c1 + c2, dim, rng)
         self.layer = TransformerEncoderLayer(dim, heads, rng)
 
-    def part_rows(self, joints: np.ndarray, h_feat: int) -> np.ndarray:
-        n = joints.shape[0]
-        if self.partition_mode == "uniform":
-            return uniform_row_ranges(h_feat, n)
-        return motion_row_ranges(neck_normalize(joints), h_feat)
-
     def forward(self, f_x: Tensor, f_y: Tensor, joints: np.ndarray) -> Tensor:
-        rows = self.part_rows(joints, f_x.shape[3])
+        rows, _ = part_rows(joints, f_x.shape[3], self.partition_mode)
         tokens = cross_modal_tokens(f_x, f_y, rows)      # (N, C1+C2, T, 7)
         h = tokens.transpose(0, 2, 3, 1)                 # (N, T, 7, C1+C2)
         h = self.layer(self.entry(h))

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .tensor import Tensor, gem, normalize, softplus
+from .tensor import Tensor, conv, gem, linear, normalize, softplus
 
 
 class Parameter(Tensor):
@@ -138,8 +138,6 @@ class Linear(Module):
         self.bias = Parameter(rng.uniform(-bound, bound, dout)) if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        from .tensor import linear
-
         return linear(x, self.weight, self.bias)
 
 
@@ -166,8 +164,6 @@ class Conv(Module):
         self.padding = padding
 
     def forward(self, x: Tensor) -> Tensor:
-        from .tensor import conv
-
         return conv(x, self.weight, self.bias, self.dilation, self.padding)
 
 

@@ -11,13 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from trigait.fusion import (
-    cross_modal_tokens,
-    motion_ranges,
-    motion_row_ranges,
-    neck_normalize,
-    uniform_row_ranges,
-)
+from trigait.fusion import cross_modal_tokens, neck_normalize, part_rows
 from trigait.checks import (
     batch_norm_stats,
     bruteforce_batch_all,
@@ -207,13 +201,12 @@ class TestCriterion2Invariants:
 
 
 class TestCriterion3Oracles:
-    def test_motion_ranges_bruteforce(self):
+    def test_part_rows_bruteforce(self):
         for seed in range(4):
             ske, _ = walking_pair(seed=seed, t=10, view=int(18 * seed))
-            norm = neck_normalize(ske.joints)
-            got = motion_ranges(norm, h_feat=16)
-            want = bruteforce_motion_rows(norm, h_feat=16)
-            assert [(r.h_f, r.h_e, r.row_lo, r.row_hi) for r in got] == want
+            rows, extents = part_rows(ske.joints[None], 16, "motion")
+            got = [(*e, *r) for e, r in zip(extents[0].tolist(), rows[0].tolist())]
+            assert got == bruteforce_motion_rows(neck_normalize(ske.joints), h_feat=16)
 
     def test_triplet_oracle_batches_up_to_12(self):
         r = rng(300)
@@ -331,25 +324,16 @@ class TestCriterion5LearningSanity:
 
 
 class TestCriterion6AblationWiring:
-    def _tokens(self, joints, mode, r):
-        f_x = Tensor(r.uniform(0, 1, (1, 3, joints.shape[1], 14, 6)))
-        f_y = Tensor(r.standard_normal((1, 4, joints.shape[1], 17)))
-        if mode == "uniform":
-            rows = uniform_row_ranges(14, 1)
-        else:
-            rows = motion_row_ranges(neck_normalize(joints), 14)
-        return cross_modal_tokens(f_x, f_y, rows).data
-
     def test_modes_differ_on_real_motion(self):
         ske, _ = walking_pair(seed=7, t=6)
         joints = ske.joints[None]
         r = rng(600)
         fx = r.uniform(0, 1, (1, 3, 6, 14, 6))
         fy = r.standard_normal((1, 4, 6, 17))
-        t_motion = cross_modal_tokens(
-            Tensor(fx), Tensor(fy), motion_row_ranges(neck_normalize(joints), 14)
-        ).data
-        t_uniform = cross_modal_tokens(Tensor(fx), Tensor(fy), uniform_row_ranges(14, 1)).data
+        rows_motion, _ = part_rows(joints, 14, "motion")
+        rows_uniform, _ = part_rows(joints, 14, "uniform")
+        t_motion = cross_modal_tokens(Tensor(fx), Tensor(fy), rows_motion).data
+        t_uniform = cross_modal_tokens(Tensor(fx), Tensor(fy), rows_uniform).data
         assert np.abs(t_motion - t_uniform).max() > 1e-9
 
     def test_modes_agree_on_constructed_fixture(self):
@@ -386,8 +370,8 @@ class TestCriterion6AblationWiring:
                 joints[1, ja, 1] = joints[1, jb, 1] = hi
         joints = joints[None]
 
-        rows_motion = motion_row_ranges(neck_normalize(joints), 14)
-        rows_uniform = uniform_row_ranges(14, 1)
+        rows_motion, _ = part_rows(joints, 14, "motion")
+        rows_uniform, _ = part_rows(joints, 14, "uniform")
         np.testing.assert_array_equal(rows_motion, rows_uniform)
 
         r = rng(601)

@@ -1,5 +1,7 @@
 """CLI contracts: subcommands, determinism, exit codes, help texts."""
 
+import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -7,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trigait.cli import _config_from_args, build_parser, main
+from trigait.cli import _THREAD_VARS, _config_from_args, build_parser, main
 
 
 def run_cli(*argv) -> int:
@@ -91,8 +93,11 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("mode,cap", [("motion", 0), ("uniform", 0), ("motion", 5)])
     def test_dump_ranges_match_model_rows(self, small_dataset, tmp_path, mode, cap):
-        """The dumped rows are the rows the model pools, frame cap included."""
+        """The dumped rows are the rows the model pools, frame cap included; the
+        h_f/h_e columns are plain floats: the motion extents, or the uniform rows."""
+        from trigait.checks import bruteforce_motion_rows
         from trigait.data import read_dataset
+        from trigait.fusion import neck_normalize, part_rows
         from trigait.model import preprocess_silhouettes
         from trigait.tensor import Tensor, no_grad
         from trigait.train import load_training_checkpoint
@@ -107,10 +112,11 @@ class TestTrainEval:
             "eval", "--data", str(small_dataset), "--checkpoint", str(run / "model.tgck"),
             "--out", str(tmp_path / "e"), "--dump-ranges", str(ranges),
         ) == 0
-        dumped = {}
+        dumped, extents = {}, {}
         for line in ranges.read_text().splitlines()[1:]:
-            stem, _, _, _, lo, hi = line.split("\t")
+            stem, _, h_f, h_e, lo, hi = line.split("\t")
             dumped.setdefault(stem, []).append([int(lo), int(hi)])
+            extents.setdefault(stem, []).append((float(h_f), float(h_e)))
 
         net = load_training_checkpoint(run / "model.tgck").net.eval()
         ds = read_dataset(small_dataset)
@@ -121,7 +127,31 @@ class TestTrainEval:
         assert len(dumped) == len(ds)
         for rec in ds.records():
             joints = ds.load_pair(rec)[1][None, : cap or None]
-            assert dumped[rec.stem] == net.fusion.part_rows(joints, h_feat)[0].tolist()
+            rows, _ = part_rows(joints, h_feat, net.fusion.partition_mode)
+            assert dumped[rec.stem] == rows[0].tolist()
+            if mode == "motion":
+                want = bruteforce_motion_rows(neck_normalize(joints[0]), h_feat)
+                assert extents[rec.stem] == [(h_f, h_e) for h_f, h_e, _, _ in want]
+            else:
+                assert extents[rec.stem] == [(lo, hi) for lo, hi in dumped[rec.stem]]
+
+    def test_empty_gallery_fails_before_embedding(
+        self, small_dataset, tmp_path, monkeypatch, capsys
+    ):
+        data, run = tmp_path / "data", tmp_path / "run"
+        shutil.copytree(small_dataset, data)
+        manifest = data / "manifest.tsv"
+        manifest.write_text(manifest.read_text().replace("\tNM\t", "\tCL\t"))
+        assert run_cli("train", "--data", str(small_dataset), "--out", str(run),
+                       "--iterations", "1", "--miniature", "--batch-subjects", "3",
+                       "--batch-sequences", "2") == 0
+        embedded = []
+        monkeypatch.setattr("trigait.evaluate.embed_all", lambda *a, **k: embedded.append(a))
+        capsys.readouterr()
+        assert run_cli("eval", "--data", str(data), "--checkpoint", str(run / "model.tgck"),
+                       "--out", str(tmp_path / "e")) == 1
+        assert "error: eval: gallery is empty" in capsys.readouterr().err
+        assert embedded == []
 
     def test_eval_rejects_short_checkpoint_header(self, small_dataset, tmp_path):
         short = tmp_path / "short.tgck"
@@ -274,12 +304,53 @@ class TestMisc:
         for f in sorted(a.iterdir()):
             assert f.read_bytes() == (b / f.name).read_bytes()
 
-    def test_cli_import_leaves_numpy_unloaded(self):
+    def test_cli_import_leaves_numpy_unloaded(self, tmp_path):
         # `--threads` sets the BLAS pool size, which only works before numpy loads
         probe = "import sys, trigait.cli; print('numpy' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+        # ... and so does a `threads` line of the config file
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = 1\n")
+        probe = (
+            "import os, sys, trigait.cli as c; "
+            "c._apply_thread_env(c.build_parser().parse_args("
+            f"['train', '--data', 'd', '--out', 'o', '--config', {str(cfg)!r}])); "
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False 1"
+
+
+class TestThreads:
+    """`--threads`, else the config file's `threads`, sets every BLAS/OpenMP variable."""
+
+    @pytest.fixture(autouse=True)
+    def unset_thread_vars(self, monkeypatch):
+        for var in _THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+
+    def train(self, tmp_path, config_text, *flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config_text)
+        # no dataset there: train fails after the thread variables are set
+        code = run_cli("train", "--data", str(tmp_path / "none"), "--out", str(tmp_path / "o"),
+                       "--config", str(cfg), *flags)
+        return code, {os.environ.get(var) for var in _THREAD_VARS}
+
+    def test_config_file_threads(self, tmp_path):
+        assert self.train(tmp_path, "threads = 1\n") == (1, {"1"})
+
+    def test_flag_over_file(self, tmp_path):
+        assert self.train(tmp_path, "threads = 1\n", "--threads", "2") == (1, {"2"})
+
+    def test_unparsable_file_left_to_train(self, tmp_path, capsys):
+        assert self.train(tmp_path, "threads = one\n") == (1, {None})
+        assert f"error: config errors:\n  {tmp_path / 'run.cfg'}:1:" in capsys.readouterr().err
 
 
 class TestSeedPrecedence:

@@ -9,11 +9,8 @@ from trigait.fusion import (
     FusionBranch,
     TransformerEncoderLayer,
     cross_modal_tokens,
-    motion_ranges,
-    motion_row_ranges,
     neck_normalize,
-    uniform_partition_ranges,
-    uniform_row_ranges,
+    part_rows,
 )
 from trigait.gradcheck import model_param_gradcheck
 from trigait.synth import synth_subject, render_sequence
@@ -29,6 +26,20 @@ def walking_joints(n=1, t=6, seed=0):
     ske, _ = render_sequence(subj, "NM", 90, T=max(t, 2), seed=seed)
     joints = ske.joints[:t]
     return np.broadcast_to(joints, (n,) + joints.shape).copy()
+
+
+def uniform_rows(h_feat, n):
+    return part_rows(walking_joints(n=n), h_feat, "uniform")[0]
+
+
+def motion_rows(joints, h_feat):
+    return part_rows(joints, h_feat, "motion")[0]
+
+
+def single_sequence(joints, h_feat):
+    """[(h_f, h_e, row_lo, row_hi)] per part of one raw (T, K, 2) sequence."""
+    rows, extents = part_rows(joints[None], h_feat, "motion")
+    return [(*e, *r) for e, r in zip(extents[0].tolist(), rows[0].tolist())]
 
 
 class TestPartDefs:
@@ -73,14 +84,17 @@ class TestNeckNormalize:
         with pytest.raises(ValueError) as ei:
             neck_normalize(j)
         assert "frame" in str(ei.value)
+        batch = walking_joints(n=2, t=4, seed=5)
+        batch[1, 2] = 0.0
+        with pytest.raises(ValueError, match="at sequence 1, frame 2$"):
+            neck_normalize(batch)
 
 
 class TestMotionRanges:
     def test_matches_bruteforce_loops(self):
-        norm = neck_normalize(walking_joints(t=8, seed=4)[0])
-        got = motion_ranges(norm, h_feat=16)
-        want = bruteforce_motion_rows(norm, h_feat=16)
-        assert [(r.h_f, r.h_e, r.row_lo, r.row_hi) for r in got] == want
+        j = walking_joints(t=8, seed=4)[0]
+        want = bruteforce_motion_rows(neck_normalize(j), h_feat=16)
+        assert single_sequence(j, h_feat=16) == want
 
     def test_static_skeleton_collapses(self):
         # one static pose with a single height per part: no motion, min == max
@@ -92,35 +106,46 @@ class TestMotionRanges:
         for j, v in heights.items():
             pose[j, 1] = v
         static = np.repeat(pose[None], 4, axis=0)
-        got = motion_ranges(neck_normalize(static), h_feat=16)
-        for r in got:
-            assert r.h_f == r.h_e
+        for h_f, h_e, _, _ in single_sequence(static, h_feat=16):
+            assert h_f == h_e
 
     def test_whole_body_range_covers_rows(self):
-        norm = neck_normalize(walking_joints(t=8, seed=6)[0])
-        got = motion_ranges(norm, h_feat=16)
-        assert min(r.row_lo for r in got) == 0
-        assert max(r.row_hi for r in got) == 15
+        got = single_sequence(walking_joints(t=8, seed=6)[0], h_feat=16)
+        assert min(lo for _, _, lo, _ in got) == 0
+        assert max(hi for _, _, _, hi in got) == 15
 
     def test_scale_invariance_end_to_end(self):
         j = walking_joints(t=6, seed=7)[0]
-        a = motion_ranges(neck_normalize(j), 16)
-        b = motion_ranges(neck_normalize(3.5 * j), 16)
-        assert [(r.row_lo, r.row_hi) for r in a] == [(r.row_lo, r.row_hi) for r in b]
+        a = single_sequence(j, 16)
+        b = single_sequence(3.5 * j, 16)
+        assert [r[2:] for r in a] == [r[2:] for r in b]
+
+    def test_batch_rows_equal_per_sequence_rows(self):
+        joints = np.concatenate([walking_joints(t=6, seed=s) for s in (35, 36, 37)])
+        rows, extents = part_rows(joints, 16, "motion")
+        assert rows.dtype == np.int64 and extents.dtype == np.float64
+        for i in range(3):
+            assert single_sequence(joints[i], 16) == [
+                (*e, *r) for e, r in zip(extents[i].tolist(), rows[i].tolist())
+            ]
 
 
 class TestUniformPartition:
     def test_even_split(self):
-        bands = uniform_partition_ranges(14)
-        assert [(r.row_hi - r.row_lo + 1) for r in bands] == [2] * 7
+        bands = uniform_rows(14, 1)[0]
+        assert (bands[:, 1] - bands[:, 0] + 1).tolist() == [2] * 7
 
     def test_largest_remainder_top_down(self):
-        bands = uniform_partition_ranges(16)
-        assert [(r.row_hi - r.row_lo + 1) for r in bands] == [3, 3, 2, 2, 2, 2, 2]
-        assert bands[0].row_lo == 0 and bands[-1].row_hi == 15
+        bands = uniform_rows(16, 1)[0]
+        assert (bands[:, 1] - bands[:, 0] + 1).tolist() == [3, 3, 2, 2, 2, 2, 2]
+        assert bands[0, 0] == 0 and bands[-1, 1] == 15
 
     def test_count(self):
-        assert len(uniform_partition_ranges(16)) == 7
+        assert len(uniform_rows(16, 1)[0]) == 7
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be motion or uniform"):
+            part_rows(walking_joints(), 16, "diagonal")
 
 
 class TestCrossModalTokens:
@@ -128,7 +153,7 @@ class TestCrossModalTokens:
         n, t = 2, 3
         f_x = Tensor(rng(8).uniform(0, 1, (n, 32, t, 32, 32)))
         f_y = Tensor(rng(9).standard_normal((n, 64, t, 17)))
-        rows = uniform_row_ranges(32, n)
+        rows = uniform_rows(32, n)
         tokens = cross_modal_tokens(f_x, f_y, rows)
         assert tokens.shape == (n, 96, t, 7)
 
@@ -136,7 +161,7 @@ class TestCrossModalTokens:
         tokens = cross_modal_tokens(
             Tensor(np.zeros((1, 4, 2, 8, 8))),
             Tensor(np.zeros((1, 4, 2, 17))),
-            uniform_row_ranges(8, 1),
+            uniform_rows(8, 1),
         )
         np.testing.assert_allclose(tokens.data, 0.0, atol=0)
 
@@ -145,7 +170,7 @@ class TestCrossModalTokens:
         c = 0.7
         f_x = Tensor(np.full((1, 2, 2, 8, 4), c))
         f_y = Tensor(np.full((1, 3, 2, 17), c))
-        rows = motion_row_ranges(neck_normalize(walking_joints(t=2, seed=10)), 8)
+        rows = motion_rows(walking_joints(t=2, seed=10), 8)
         tokens = cross_modal_tokens(f_x, f_y, rows)
         np.testing.assert_allclose(tokens.data, 2 * c, atol=1e-12)
 
@@ -153,7 +178,7 @@ class TestCrossModalTokens:
         n, t = 2, 3
         f_x = rng(11).uniform(0, 1, (n, 3, t, 16, 5))
         f_y = rng(12).standard_normal((n, 4, t, 17))
-        rows = motion_row_ranges(neck_normalize(walking_joints(n=n, t=t, seed=13)), 16)
+        rows = motion_rows(walking_joints(n=n, t=t, seed=13), 16)
         rows[1] = rows[1][::-1]  # distinct ranges per sample
         tokens = cross_modal_tokens(Tensor(f_x), Tensor(f_y), rows).data
         for i in range(n):
@@ -169,7 +194,7 @@ class TestCrossModalTokens:
     def test_gradcheck(self):
         from trigait.gradcheck import gradcheck
 
-        rows = uniform_row_ranges(8, 1)
+        rows = uniform_rows(8, 1)
         err = gradcheck(
             lambda fx, fy: cross_modal_tokens(fx, fy, rows),
             [rng(14).uniform(0, 1, (1, 2, 2, 8, 3)), rng(15).standard_normal((1, 2, 2, 17))],
@@ -180,7 +205,7 @@ class TestCrossModalTokens:
         from trigait.gradcheck import gradcheck
 
         joints = np.concatenate([walking_joints(t=6, seed=31), walking_joints(t=6, seed=32)])
-        rows = motion_row_ranges(neck_normalize(joints), 8)
+        rows = motion_rows(joints, 8)
         assert (rows[0] != rows[1]).any()
         h = np.arange(8)[:, None, None]
         assert ((h >= rows[..., 0]) & (h <= rows[..., 1])).sum(axis=2).max() > 1  # overlaps
@@ -211,7 +236,7 @@ class TestCrossModalTokens:
         np.testing.assert_allclose(f_y.grad[0, 0, 0], gy, rtol=0, atol=1e-15)
 
     def test_empty_row_range_names_part(self):
-        rows = uniform_row_ranges(8, 2)
+        rows = uniform_rows(8, 2)
         rows[1, 4] = (5, 4)
         with pytest.raises(ValueError, match="empty row range for part 4"):
             cross_modal_tokens(
@@ -257,16 +282,14 @@ class TestFusionBranch:
         f_y = Tensor(rng(25).standard_normal((2, 4, 1, 17)))
         out = branch(f_x, f_y, joints)
         assert out.shape == (2, 16, 7)
-        rows = branch.part_rows(joints, 8)
+        rows = motion_rows(joints, 8)
         tokens = cross_modal_tokens(f_x, f_y, rows)
         h = branch.layer(branch.entry(tokens.transpose(0, 2, 3, 1)))
         np.testing.assert_allclose(out.data, h.data[:, 0].transpose(0, 2, 1), atol=1e-12)
 
     def test_partition_modes_differ_on_moving_skeleton(self):
         joints = walking_joints(n=1, t=6, seed=26)
-        motion_rows = motion_row_ranges(neck_normalize(joints), 8)
-        uniform_rows = uniform_row_ranges(8, 1)
-        assert (motion_rows != uniform_rows).any()
+        assert (motion_rows(joints, 8) != uniform_rows(8, 1)).any()
 
     def test_branch_gradcheck(self):
         branch = FusionBranch(c1=2, c2=2, dim=8, heads=2, partition_mode="motion", rng=rng(27))

@@ -10,7 +10,7 @@ import pytest
 
 from trigait.checks import bruteforce_batch_all
 from trigait.config import RunConfig
-from trigait.fusion import cross_modal_tokens, uniform_row_ranges
+from trigait.fusion import cross_modal_tokens, part_rows
 from trigait.gradcheck import model_param_gradcheck
 from trigait.losses import cross_entropy, triplet_ba_loss
 from trigait.model import GaitAssembler, TriGaitNet, preprocess_silhouettes
@@ -291,4 +291,5 @@ class TestGraphSize:
     def test_part_tokens(self, graph_nodes):
         f_x = Tensor(rng(1).uniform(0, 1, (2, 3, 2, 8, 4)), requires_grad=True)
         f_y = Tensor(rng(2).standard_normal((2, 4, 2, 17)), requires_grad=True)
-        assert graph_nodes(cross_modal_tokens(f_x, f_y, uniform_row_ranges(8, 2))) <= 16
+        rows, _ = part_rows(np.zeros((2, 2, 17, 2)), 8, "uniform")
+        assert graph_nodes(cross_modal_tokens(f_x, f_y, rows)) <= 16
