@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .config import RunConfig, load_config, parse_config_values
+from .config import MIN_FRAMES, RunConfig, load_config, parse_config_values
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -81,8 +81,10 @@ def cmd_synth(args) -> int:
 
     if args.subjects < 2:
         raise ValueError(f"need at least 2 subjects, got {args.subjects}")
-    if args.frames < 5:
-        raise ValueError(f"--frames {args.frames} < 5: the temporal stream needs T >= 5")
+    if args.frames < MIN_FRAMES:
+        raise ValueError(
+            f"--frames {args.frames} < {MIN_FRAMES}: the temporal stream needs T >= {MIN_FRAMES}"
+        )
     out = args.out
     seed = args.seed if args.seed is not None else _env_seed()
     views = _view_list(args.views)
@@ -263,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--views", type=int, default=11, help="number of azimuth views")
     p.add_argument("--seqs-per-view", type=int, default=10, dest="seqs_per_view",
                    help="sequences per view (6 NM / 2 BG / 2 CL at the default 10)")
-    p.add_argument("--frames", type=int, default=40, help="frames per sequence (>= 5)")
+    p.add_argument("--frames", type=int, default=40, help=f"frames per sequence (>= {MIN_FRAMES})")
     p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_synth)

@@ -12,6 +12,9 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
+# fewest frames the silhouette temporal stream takes; shorter clips are rejected
+MIN_FRAMES = 5
+
 
 @dataclass
 class RunConfig:
@@ -80,7 +83,6 @@ class RunConfig:
             "iterations",
             "batch_subjects",
             "batch_sequences",
-            "batch_frames",
             "log_every",
             "checkpoint_every",
             "embed_dim",
@@ -105,8 +107,10 @@ class RunConfig:
             errors.append(f"weight_decay must be >= 0, got {r.weight_decay}")
         if r.threads < 0:
             errors.append(f"threads must be >= 0, got {r.threads}")
-        if r.eval_max_frames < 0:
-            errors.append(f"eval_max_frames must be >= 0, got {r.eval_max_frames}")
+        if r.batch_frames < MIN_FRAMES:
+            errors.append(f"batch_frames must be >= {MIN_FRAMES}, got {r.batch_frames}")
+        if r.eval_max_frames != 0 and r.eval_max_frames < MIN_FRAMES:
+            errors.append(f"eval_max_frames must be 0 or >= {MIN_FRAMES}, got {r.eval_max_frames}")
         for key, preset in self.MINIATURE_OVERRIDES.items():
             given = getattr(self, key)
             if self.miniature and given not in (getattr(RunConfig, key), preset):

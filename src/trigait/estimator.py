@@ -1,103 +1,75 @@
-"""Sklearn-style estimator facade: fit on a gait dataset, transform paired
-sequences into part embeddings. Follows the get_params/set_params and
-trailing-underscore conventions so it composes with sklearn tooling."""
+"""Library front door: `GaitEmbedder(config, work_dir)` trains with the
+`trigait train` trainer and embeds with `evaluate.embed_batch`, the batch
+function `trigait eval` runs; fitted state carries a trailing underscore."""
 
 from __future__ import annotations
-
-import inspect
-import tempfile
 
 import numpy as np
 
 from .config import RunConfig
 from .data import GaitDataset, read_dataset
-from .evaluate import embed_all
+from .evaluate import embed_all, embed_batch
 from .model import preprocess_silhouettes
-from .tensor import no_grad
-from .validation import check_joints, check_paired, check_silhouette_frames
+from .synth import NUM_JOINTS
+from .train import Trainer
+
+
+def _check_pair(frames, joints) -> tuple[np.ndarray, np.ndarray]:
+    """Validate (T, H, W) or (N, T, H, W) frames in [0, 1] and their
+    (T, 17, 2) or (N, T, 17, 2) joints; returns the frames binarized at 0.5
+    as uint8 and the joints as float, both 4-D."""
+    sil = np.asarray(frames)
+    if sil.ndim == 3:
+        sil = sil[None]
+    if sil.ndim != 4:
+        raise ValueError(f"silhouettes: expected (T, H, W) or (N, T, H, W), got {sil.shape}")
+    if 0 in sil.shape:
+        raise ValueError(f"silhouettes: zero-size frames, got {sil.shape}")
+    if sil.shape[2] != sil.shape[3]:
+        raise ValueError(f"silhouettes: frames must be square, got {sil.shape}")
+    sil = sil.astype(np.float64)
+    if not np.isfinite(sil).all():
+        raise ValueError("silhouettes: non-finite values")
+    if sil.min() < 0 or sil.max() > 1:
+        raise ValueError("silhouettes: values outside [0, 1]")
+    ske = np.asarray(joints, dtype=np.float64)
+    if ske.ndim == 3:
+        ske = ske[None]
+    if ske.ndim != 4 or ske.shape[2] != NUM_JOINTS or ske.shape[3] != 2:
+        raise ValueError(
+            f"joints: expected (T, {NUM_JOINTS}, 2) or (N, T, {NUM_JOINTS}, 2), got {ske.shape}"
+        )
+    if not np.isfinite(ske).all():
+        raise ValueError("joints: non-finite values")
+    if sil.shape[:2] != ske.shape[:2]:
+        raise ValueError(
+            f"paired inputs disagree: silhouettes {sil.shape[:2]} vs joints {ske.shape[:2]}"
+        )
+    return (sil > 0.5).astype(np.uint8), ske
 
 
 class GaitEmbedder:
-    """Trains the tri-branch network and embeds sequences as (C, parts) codes.
+    """Trains the tri-branch network on `config` and embeds sequences as
+    (C, parts) codes. `fit` writes `model.tgck` and `train_log.tsv` under
+    `work_dir`, exactly as `trigait train --config ... --out work_dir` does."""
 
-    Parameters mirror the training config; `miniature=True` (default) selects
-    the desk-scale shape set so fitting stays CPU-friendly.
-    """
-
-    def __init__(
-        self,
-        iterations: int = 400,
-        lr: float = 3e-3,
-        margin: float = 0.2,
-        miniature: bool = True,
-        partition_mode: str = "motion",
-        batch_subjects: int = 8,
-        batch_sequences: int = 8,
-        batch_frames: int = 30,
-        seed: int = 0,
-        work_dir: str | None = None,
-    ):
-        self.iterations = iterations
-        self.lr = lr
-        self.margin = margin
-        self.miniature = miniature
-        self.partition_mode = partition_mode
-        self.batch_subjects = batch_subjects
-        self.batch_sequences = batch_sequences
-        self.batch_frames = batch_frames
-        self.seed = seed
+    def __init__(self, config: RunConfig, work_dir):
+        self.config = config
         self.work_dir = work_dir
 
-    # -- sklearn plumbing ---------------------------------------------------
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params) -> "GaitEmbedder":
-        valid = set(self._param_names())
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(
-                    f"invalid parameter {key!r} for GaitEmbedder; valid: {sorted(valid)}"
-                )
-            setattr(self, key, value)
-        return self
-
-    def _run_config(self) -> RunConfig:
-        return RunConfig(
-            iterations=self.iterations,
-            lr=self.lr,
-            lr_drop_iteration=max(self.iterations // 2, 1),
-            lr_after_drop=self.lr * 0.1,
-            margin=self.margin,
-            miniature=self.miniature,
-            partition_mode=self.partition_mode,
-            batch_subjects=self.batch_subjects,
-            batch_sequences=self.batch_sequences,
-            batch_frames=self.batch_frames,
-            seed=self.seed,
-        )
-
-    # -- estimator API ---------------------------------------------------------
-
-    def fit(self, dataset, y=None) -> "GaitEmbedder":
+    def fit(self, dataset) -> "GaitEmbedder":
         """dataset: a GaitDataset or a dataset directory path."""
-        from .train import Trainer
-
         if not isinstance(dataset, GaitDataset):
             dataset = read_dataset(dataset)
-        out_dir = self.work_dir or tempfile.mkdtemp(prefix="trigait_fit_")
-        trainer = Trainer(dataset, self._run_config(), out_dir)
+        trainer = Trainer(dataset, self.config, self.work_dir)
         trainer.run()
         self.net_ = trainer.net
         self.config_ = trainer.cfg
         self.checkpoint_path_ = trainer.checkpoint_path
         return self
+
+    def _preprocess(self, frames: np.ndarray) -> np.ndarray:
+        return preprocess_silhouettes(frames, self.config_.input_size)
 
     def transform(self, X) -> np.ndarray:
         """X: (frames, joints) arrays or a list of per-sequence pairs.
@@ -106,28 +78,17 @@ class GaitEmbedder:
         """
         if not hasattr(self, "net_"):
             raise ValueError("GaitEmbedder is not fitted; call fit() first")
-        batches = []
-        for pair in [X] if isinstance(X, tuple) and len(X) == 2 else X:
-            frames = check_silhouette_frames(pair[0])
-            joints = check_joints(pair[1])
-            check_paired(frames, joints)
-            batches.append((frames, joints))
-        self.net_.eval()
-        out = []
-        with no_grad():
-            for frames, joints in batches:
-                sil = preprocess_silhouettes(
-                    (frames > 0.5).astype(np.uint8), self.config_.input_size
-                )
-                out.append(self.net_.forward(sil, joints).data)
-        return np.concatenate(out, axis=0)
+        if isinstance(X, tuple) and len(X) == 2:
+            X = [X]
+        pairs = [_check_pair(frames, joints) for frames, joints in X]
+        return np.concatenate(
+            [embed_batch(self.net_, f, j, self._preprocess) for f, j in pairs], axis=0
+        )
 
-    def fit_transform(self, dataset, y=None) -> np.ndarray:
+    def fit_transform(self, dataset) -> np.ndarray:
         """Fit on the dataset, then embed every manifest sequence in order,
         one at a time as `transform` does, streaming them from disk."""
         if not isinstance(dataset, GaitDataset):
             dataset = read_dataset(dataset)
         self.fit(dataset)
-        size = self.config_.input_size
-        return embed_all(self.net_, dataset, lambda f: preprocess_silhouettes(f, size),
-                         batch_size=1)[0]
+        return embed_all(self.net_, dataset, self._preprocess, batch_size=1)[0]

@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import GaitDataset, SequenceRecord
 from .synth import CONDITIONS
+from .tensor import no_grad
 
 GALLERY_NM_COUNT = 4
 
@@ -126,11 +127,18 @@ def rank1(
     return report
 
 
-def embed_all(net, dataset: GaitDataset, preprocess, batch_size: int = 16, max_frames: int = 0):
-    """Embed every sequence with the eval-mode network.
+def embed_batch(net, frames: np.ndarray, joints: np.ndarray, preprocess) -> np.ndarray:
+    """Eval-mode embeddings (N, C, P) of uint8 frames (N, T, H, W) and their
+    joints (N, T, 17, 2); preprocess(frames) -> float input for the net."""
+    net.eval()
+    with no_grad():
+        return net.forward(preprocess(frames), joints).data
 
-    preprocess(frames uint8 (N,T,H,W)) -> float input for the net. Returns
-    (embeddings (n, C, P), labels, views, conditions, records).
+
+def embed_all(net, dataset: GaitDataset, preprocess, batch_size: int = 16, max_frames: int = 0):
+    """Embed every sequence of the dataset through `embed_batch`.
+
+    Returns (embeddings (n, C, P), labels, views, conditions, records).
 
     Sequences stream into one bucket per frame count, in record order; a
     bucket is embedded as one batch when it holds `batch_size` sequences, and
@@ -138,30 +146,26 @@ def embed_all(net, dataset: GaitDataset, preprocess, batch_size: int = 16, max_f
     per frame count are in memory, and each batch holds the same sequences
     as chunking every frame count's records in order would give.
     """
-    from .tensor import no_grad
-
-    net.eval()
     records = dataset.records()
     out: dict[int, np.ndarray] = {}
     buckets: dict[int, list] = {}  # frame count -> [(record index, frames, joints)]
 
     def embed(batch):
-        sil = preprocess(np.stack([frames for _, frames, _ in batch]))
-        emb = net.forward(sil, np.stack([joints for _, _, joints in batch])).data
-        for row, (i, _, _) in zip(emb, batch):
+        frames = np.stack([f for _, f, _ in batch])
+        joints = np.stack([j for _, _, j in batch])
+        for row, (i, _, _) in zip(embed_batch(net, frames, joints, preprocess), batch):
             out[i] = row
 
-    with no_grad():
-        for i, rec in enumerate(records):
-            frames, joints = dataset.load_pair(rec)
-            if max_frames and frames.shape[0] > max_frames:
-                frames, joints = frames[:max_frames], joints[:max_frames]
-            t = frames.shape[0]
-            buckets.setdefault(t, []).append((i, frames, joints))
-            if len(buckets[t]) == batch_size:
-                embed(buckets.pop(t))
-        for t in sorted(buckets):
-            embed(buckets[t])
+    for i, rec in enumerate(records):
+        frames, joints = dataset.load_pair(rec)
+        if max_frames and frames.shape[0] > max_frames:
+            frames, joints = frames[:max_frames], joints[:max_frames]
+        t = frames.shape[0]
+        buckets.setdefault(t, []).append((i, frames, joints))
+        if len(buckets[t]) == batch_size:
+            embed(buckets.pop(t))
+    for t in sorted(buckets):
+        embed(buckets[t])
     emb = np.stack([out[i] for i in range(len(records))])
     labels = np.array([r.subject for r in records])
     views = np.array([r.view for r in records])

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .config import MIN_FRAMES
 from .nn import BatchNorm, Conv, GeMPool, Module, ModuleList
 from .tensor import Tensor, concat, leaky_relu, relu, sigmoid, stack
 
@@ -140,8 +141,8 @@ class SilhouetteBranch(Module):
 
     def temporal_feature(self, f: Tensor) -> Tensor:
         """(N, C, T, H, W) -> (N, C, H) multi-scale motion feature."""
-        if f.shape[2] < 5:
-            raise ValueError(f"temporal stream needs T >= 5, got {f.shape[2]}")
+        if f.shape[2] < MIN_FRAMES:
+            raise ValueError(f"temporal stream needs T >= {MIN_FRAMES}, got {f.shape[2]}")
         base = self.gem_temporal(relu(f))          # (N, C, T, H)
         f_t = stack([tc(base) for tc in self.temporal_convs], axis=4)  # (N,C,T,H,3)
         n, c, t, h, s = f_t.shape

@@ -118,9 +118,13 @@ class TestConfig:
             ("tc_kernel", 2, "tc_kernel must be odd and >= 1, got 2"),
             ("tc_kernel", -1, "tc_kernel must be odd and >= 1, got -1"),
             ("ske_channels", (0, 8), "ske_channels must be one or more integers >= 1, got (0, 8)"),
+            ("batch_frames", 3, "batch_frames must be >= 5, got 3"),
+            ("eval_max_frames", 3, "eval_max_frames must be 0 or >= 5, got 3"),
+            ("eval_max_frames", -1, "eval_max_frames must be 0 or >= 5, got -1"),
         ],
         ids=["input_size", "sil_parts", "sil_reduction", "ske_heads", "fusion_heads",
-             "tc_kernel_even", "tc_kernel_negative", "ske_channels"],
+             "tc_kernel_even", "tc_kernel_negative", "ske_channels", "batch_frames",
+             "eval_max_frames", "eval_max_frames_negative"],
     )
     def test_bad_divisor_named_without_crash(self, key, value, message):
         assert message in RunConfig(**{key: value}).validate()
