@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from .config import MIN_FRAMES, RunConfig, load_config, parse_config_values
+from .config import FIELD_NAMES, MIN_FRAMES, RunConfig, load_config, parse_config_values
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -108,52 +108,35 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _config_from_args(args):
+def _config_from_args(args) -> RunConfig:
+    """The `--config` file's values, then TRIGAIT_SEED when neither `--seed`
+    nor the file sets a seed, then every flag given: a flag's dest is the
+    field it sets."""
     values = {}
     if args.config:
         with open(args.config) as fh:
             values = parse_config_values(fh.read(), source=args.config)
-    if args.seed is not None:
-        values["seed"] = args.seed
-    elif "seed" not in values:
+    if args.seed is None and "seed" not in values:
         values["seed"] = _env_seed()
-    cfg = RunConfig(**values)
-    overrides = {
-        "iterations": args.iterations,
-        "miniature": args.miniature or None,
-        "partition_mode": args.partition_mode,
-        "lr": args.lr,
-        "margin": args.margin,
-        "log_every": args.log_every,
-        "checkpoint_every": args.checkpoint_every,
-        "batch_subjects": args.batch_subjects,
-        "batch_sequences": args.batch_sequences,
-        "batch_frames": args.batch_frames,
-        "eval_max_frames": args.eval_max_frames,
-        "threads": args.threads,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    values.update((k, v) for k, v in vars(args).items() if k in FIELD_NAMES and v is not None)
+    return RunConfig(**values)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value config file; flags here override it")
     p.add_argument("--iterations", type=int, default=None, help="total training iterations")
-    p.add_argument("--miniature", action="store_true",
+    p.add_argument("--miniature", action="store_true", default=None,
                    help="desk-scale shape set (16x16 input, small channels)")
     p.add_argument("--partition-mode", choices=["motion", "uniform"], default=None,
-                   dest="partition_mode",
                    help="fusion silhouette partitioning (uniform = ablation wiring)")
     p.add_argument("--lr", type=float, default=None, help="initial learning rate")
     p.add_argument("--margin", type=float, default=None, help="triplet margin")
-    p.add_argument("--log-every", type=int, default=None, dest="log_every")
-    p.add_argument("--checkpoint-every", type=int, default=None, dest="checkpoint_every")
-    p.add_argument("--batch-subjects", type=int, default=None, dest="batch_subjects")
-    p.add_argument("--batch-sequences", type=int, default=None, dest="batch_sequences")
-    p.add_argument("--batch-frames", type=int, default=None, dest="batch_frames")
-    p.add_argument("--eval-max-frames", type=int, default=None, dest="eval_max_frames",
+    p.add_argument("--log-every", type=int, default=None)
+    p.add_argument("--checkpoint-every", type=int, default=None)
+    p.add_argument("--batch-subjects", type=int, default=None)
+    p.add_argument("--batch-sequences", type=int, default=None)
+    p.add_argument("--batch-frames", type=int, default=None)
+    p.add_argument("--eval-max-frames", type=int, default=None,
                    help="cap frames per sequence at embedding time (0 = all)")
 
 
@@ -263,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--subjects", type=int, default=8, help="number of subjects (>= 2)")
     p.add_argument("--views", type=int, default=11, help="number of azimuth views")
-    p.add_argument("--seqs-per-view", type=int, default=10, dest="seqs_per_view",
+    p.add_argument("--seqs-per-view", type=int, default=10,
                    help="sequences per view (6 NM / 2 BG / 2 CL at the default 10)")
     p.add_argument("--frames", type=int, default=40, help=f"frames per sequence (>= {MIN_FRAMES})")
     p.add_argument("--seed", type=int, default=None, help="default: TRIGAIT_SEED, else 0")
@@ -285,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, help="model checkpoint (.tgck)")
     p.add_argument("--out", required=True, help="directory for report.tsv / report.md")
     p.add_argument("--config", help="reject the checkpoint unless it matches this config")
-    p.add_argument("--dump-ranges", dest="dump_ranges",
-                   help="write per-sequence part ranges TSV to this path")
+    p.add_argument("--dump-ranges", help="write per-sequence part ranges TSV to this path")
     p.add_argument("--threads", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 

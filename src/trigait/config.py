@@ -154,18 +154,20 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
     def hash_hex(self) -> str:
-        """Digest of the identity-defining fields (architecture, optimizer,
-        batch spec, seed); extending a run or changing logging cadence keeps
+        """Digest of the identity-defining resolved fields (architecture,
+        optimizer, batch spec, seed): configs that build the same network
+        match, and extending a run or changing logging cadence keeps
         checkpoints compatible."""
         lines = [
             line
-            for line in self.to_text().splitlines()
+            for line in self.resolved().to_text().splitlines()
             if line.split(" =")[0] not in self._NON_IDENTITY
         ]
         return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# the keys a config file or a `trigait train` flag may set
+FIELD_NAMES = frozenset(f.name for f in fields(RunConfig))
 
 
 def _parse_value(key: str, raw: str):
@@ -199,7 +201,7 @@ def parse_config_values(text: str, source: str = "<config>") -> dict:
             errors.append(f"{source}:{ln}: expected 'key = value', got {line!r}")
             continue
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key not in _FIELD_TYPES:
+        if key not in FIELD_NAMES:
             errors.append(f"{source}:{ln}: unknown key {key!r}")
             continue
         try:

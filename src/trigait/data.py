@@ -65,20 +65,6 @@ class SequenceRecord:
     stem: str
 
 
-@dataclass
-class BatchSpec:
-    subjects: int = 8          # P
-    sequences_per_subject: int = 16   # K
-    frames: int = 30           # T
-
-
-@dataclass
-class Batch:
-    silhouettes: np.ndarray    # (N, T, H, W) uint8
-    skeletons: np.ndarray      # (N, T, 17, 2) float64
-    labels: np.ndarray         # (N,) subject ids
-
-
 class GaitDataset:
     """Read-only handle over a dataset directory; safe to share once loaded."""
 
@@ -174,28 +160,27 @@ def _crop_frames(n_frames: int, want: int, rng: np.random.Generator) -> np.ndarr
     return np.tile(np.arange(n_frames), reps)[:want]
 
 
-def sample_batch(dataset: GaitDataset, spec: BatchSpec, rng: np.random.Generator) -> Batch:
-    """P distinct subjects x K sequences, each cropped to the same T-frame
-    window in both modalities."""
-    subjects = dataset.subjects()
-    if len(subjects) < spec.subjects:
-        raise ValueError(
-            f"sample_batch: need {spec.subjects} subjects, dataset has {len(subjects)}"
-        )
-    chosen = rng.choice(subjects, size=spec.subjects, replace=False)
+def sample_batch(
+    dataset: GaitDataset, subjects: int, sequences: int, frames: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`subjects` distinct subjects x `sequences` sequences each, every one
+    cropped to the same `frames`-frame window in both modalities.
+
+    Returns silhouettes (N, T, H, W) uint8, skeletons (N, T, 17, 2) float64
+    and the subject id of each row (N,), N = subjects * sequences.
+    """
+    available = dataset.subjects()
+    if len(available) < subjects:
+        raise ValueError(f"sample_batch: need {subjects} subjects, dataset has {len(available)}")
+    chosen = rng.choice(available, size=subjects, replace=False)
     sils, skes, labels = [], [], []
     for subj in chosen:
         recs = dataset.records_for(int(subj))
-        replace = len(recs) < spec.sequences_per_subject
-        idx = rng.choice(len(recs), size=spec.sequences_per_subject, replace=replace)
+        idx = rng.choice(len(recs), size=sequences, replace=len(recs) < sequences)
         for i in idx:
-            frames, joints = dataset.load_pair(recs[int(i)])
-            window = _crop_frames(frames.shape[0], spec.frames, rng)
-            sils.append(frames[window])
+            sil, joints = dataset.load_pair(recs[int(i)])
+            window = _crop_frames(sil.shape[0], frames, rng)
+            sils.append(sil[window])
             skes.append(joints[window])
             labels.append(int(subj))
-    return Batch(
-        silhouettes=np.stack(sils),
-        skeletons=np.stack(skes),
-        labels=np.array(labels, dtype=np.int64),
-    )
+    return np.stack(sils), np.stack(skes), np.array(labels, dtype=np.int64)

@@ -72,15 +72,20 @@ class GaitEmbedder:
         return preprocess_silhouettes(frames, self.config_.input_size)
 
     def transform(self, X) -> np.ndarray:
-        """X: (frames, joints) arrays or a list of per-sequence pairs.
+        """X: one (frames, joints) pair, or a list or tuple of per-sequence
+        (frames, joints) tuples.
 
         Returns embeddings (n, channels, parts).
         """
         if not hasattr(self, "net_"):
             raise ValueError("GaitEmbedder is not fitted; call fit() first")
-        if isinstance(X, tuple) and len(X) == 2:
+        if isinstance(X, tuple) and len(X) == 2 and not isinstance(X[0], tuple):
             X = [X]
-        pairs = [_check_pair(frames, joints) for frames, joints in X]
+        pairs = []
+        for k, pair in enumerate(X):
+            if len(pair) != 2:
+                raise ValueError(f"X[{k}]: expected a (frames, joints) pair, got {len(pair)} items")
+            pairs.append(_check_pair(*pair))
         return np.concatenate(
             [embed_batch(self.net_, f, j, self._preprocess) for f, j in pairs], axis=0
         )

@@ -151,9 +151,11 @@ def embed_all(net, dataset: GaitDataset, preprocess, batch_size: int = 16, max_f
     buckets: dict[int, list] = {}  # frame count -> [(record index, frames, joints)]
 
     def embed(batch):
+        index = [i for i, _, _ in batch]
         frames = np.stack([f for _, f, _ in batch])
         joints = np.stack([j for _, _, j in batch])
-        for row, (i, _, _) in zip(embed_batch(net, frames, joints, preprocess), batch):
+        batch.clear()  # the per-sequence arrays are not needed through the forward
+        for i, row in zip(index, embed_batch(net, frames, joints, preprocess)):
             out[i] = row
 
     for i, rec in enumerate(records):

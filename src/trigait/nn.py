@@ -10,13 +10,13 @@ from .tensor import Tensor, conv, gem, linear, normalize, softplus
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a hierarchical name and optimizer state."""
+    """Trainable tensor carrying its SGD momentum buffer; its name is its
+    path in the module tree (`Module.named_parameters`)."""
 
-    __slots__ = ("name", "momentum_buffer")
+    __slots__ = ("momentum_buffer",)
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(np.array(data, dtype=np.float64), requires_grad=True)
-        self.name = name
         self.momentum_buffer: np.ndarray | None = None
 
 

@@ -10,8 +10,9 @@ from .nn import Parameter
 class SGD:
     """v <- momentum*v + (g + wd*w); w <- w - lr*v.
 
-    Gradients are left intact until zero_grad(); parameters with no gradient
-    are skipped and reported back from step().
+    v is each parameter's `momentum_buffer`, so it is saved and restored with
+    the module tree. Gradients are left intact until zero_grad(); parameters
+    with no gradient are left unchanged.
     """
 
     def __init__(self, params, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4):
@@ -20,11 +21,9 @@ class SGD:
         self.momentum = momentum
         self.weight_decay = weight_decay
 
-    def step(self) -> list[str]:
-        skipped = []
+    def step(self) -> None:
         for p in self.params:
             if p.grad is None:
-                skipped.append(p.name or repr(p))
                 continue
             g = p.grad + self.weight_decay * p.data
             if self.momentum != 0.0:
@@ -34,7 +33,6 @@ class SGD:
                 p.momentum_buffer += g
                 g = p.momentum_buffer
             p.data -= self.lr * g
-        return skipped
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -2,7 +2,9 @@
 
 Every iteration draws its batch from a generator seeded by (seed, iteration),
 so training is deterministic given the seed and resuming from a checkpoint
-continues the exact same trajectory.
+continues the exact same trajectory. The training state is the module tree:
+a checkpoint stores each parameter under its `named_parameters` name, with
+its SGD momentum buffer as `opt.<name>`.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, parse_config_text
-from .data import BatchSpec, GaitDataset, sample_batch
+from .data import GaitDataset, sample_batch
 from .model import TriGaitNet, preprocess_silhouettes
 from .optim import SGD
 
-LOG_HEADER = "iteration\tlr\tl_tri\tl_ce\tl\tactive_triplet_fraction"
+LOG_COLUMNS = ("iteration", "lr", "l_tri", "l_ce", "l", "active_triplet_fraction")
+LOG_HEADER = "\t".join(LOG_COLUMNS)
 
 _INIT_TAG = 0x1A17
 _BATCH_TAG = 0xB47C
@@ -35,19 +38,16 @@ def _floats_to_text(arr: np.ndarray) -> str:
 
 
 def build_network(config: RunConfig, num_subjects: int) -> TriGaitNet:
-    net = TriGaitNet(config, num_subjects, np.random.default_rng((config.seed, _INIT_TAG)))
-    for name, p in net.named_parameters():
-        p.name = name
-    return net
+    return TriGaitNet(config, num_subjects, np.random.default_rng((config.seed, _INIT_TAG)))
 
 
-def save_training_checkpoint(path, net, optimizer, iteration, config: RunConfig, num_subjects):
+def save_training_checkpoint(path, net, iteration, config: RunConfig, num_subjects):
     """Write the training state to `path`, replacing any previous file only
     once the new one is complete: a crash mid-save leaves the old checkpoint."""
     tensors = {f"model.{k}": v for k, v in net.state_dict().items()}
-    for p in optimizer.params:
+    for name, p in net.named_parameters():
         if p.momentum_buffer is not None:
-            tensors[f"opt.{p.name}"] = p.momentum_buffer
+            tensors[f"opt.{name}"] = p.momentum_buffer
     tensors["__meta__.iteration"] = np.array(float(iteration))
     tensors["__meta__.num_subjects"] = np.array(float(num_subjects))
     tensors["__meta__.config_text"] = _text_to_floats(config.to_text())
@@ -67,11 +67,11 @@ class LoadedCheckpoint:
     config: RunConfig
     iteration: int
     num_subjects: int
-    momentum: dict[str, np.ndarray]
 
 
 def load_training_checkpoint(path, expect_config: RunConfig | None = None) -> LoadedCheckpoint:
-    """Rebuild the network a checkpoint was saved from.
+    """Rebuild the network a checkpoint was saved from, momentum buffers
+    included.
 
     When `expect_config` is given and its hash differs from the stored
     config's, the checkpoint is rejected and both hashes are reported.
@@ -92,13 +92,13 @@ def load_training_checkpoint(path, expect_config: RunConfig | None = None) -> Lo
         k[len("model.") :]: v for k, v in tensors.items() if k.startswith("model.")
     }
     net.load_state_dict(state)
-    momentum = {k[len("opt.") :]: v for k, v in tensors.items() if k.startswith("opt.")}
+    for name, p in net.named_parameters():
+        p.momentum_buffer = tensors.get(f"opt.{name}")
     return LoadedCheckpoint(
         net=net,
         config=config,
         iteration=int(tensors["__meta__.iteration"]),
         num_subjects=num_subjects,
-        momentum=momentum,
     )
 
 
@@ -125,38 +125,28 @@ class Trainer:
                 )
             self.net = loaded.net
             self.iteration = loaded.iteration
-            self.optimizer = self._make_optimizer()
-            for p in self.optimizer.params:
-                if p.name in loaded.momentum:
-                    p.momentum_buffer = loaded.momentum[p.name].copy()
         else:
             self.net = build_network(config, self.num_subjects)
-            self.optimizer = self._make_optimizer()
-        self.log_path = self.out_dir / "train_log.tsv"
-        self.checkpoint_path = self.out_dir / "model.tgck"
-
-    def _make_optimizer(self) -> SGD:
-        return SGD(
+        self.optimizer = SGD(
             self.net.parameters(),
             lr=self.cfg.lr,
             momentum=self.cfg.momentum,
             weight_decay=self.cfg.weight_decay,
         )
+        self.log_path = self.out_dir / "train_log.tsv"
+        self.checkpoint_path = self.out_dir / "model.tgck"
 
     def lr_at(self, iteration: int) -> float:
         return self.cfg.lr if iteration < self.cfg.lr_drop_iteration else self.cfg.lr_after_drop
 
     def _batch(self, iteration: int):
-        rng = np.random.default_rng((self.cfg.seed, _BATCH_TAG, iteration))
-        spec = BatchSpec(
-            subjects=self.cfg.batch_subjects,
-            sequences_per_subject=self.cfg.batch_sequences,
-            frames=self.cfg.batch_frames,
+        cfg = self.cfg
+        rng = np.random.default_rng((cfg.seed, _BATCH_TAG, iteration))
+        sil, ske, subjects = sample_batch(
+            self.dataset, cfg.batch_subjects, cfg.batch_sequences, cfg.batch_frames, rng
         )
-        batch = sample_batch(self.dataset, spec, rng)
-        sil = preprocess_silhouettes(batch.silhouettes, self.cfg.input_size)
-        labels = np.array([self.label_of[s] for s in batch.labels])
-        return sil, batch.skeletons, labels
+        labels = np.array([self.label_of[s] for s in subjects])
+        return preprocess_silhouettes(sil, cfg.input_size), ske, labels
 
     def step(self) -> dict:
         """One optimization step; returns the logged scalars."""
@@ -184,9 +174,7 @@ class Trainer:
 
     def save(self, path=None) -> Path:
         path = Path(path) if path is not None else self.checkpoint_path
-        save_training_checkpoint(
-            path, self.net, self.optimizer, self.iteration, self.raw_config, self.num_subjects
-        )
+        save_training_checkpoint(path, self.net, self.iteration, self.raw_config, self.num_subjects)
         return path
 
     def _log_rows_before_iteration(self) -> list[str]:
@@ -220,11 +208,7 @@ class Trainer:
                 scalars = self.step()
                 it = scalars["iteration"]
                 if it % self.cfg.log_every == 0 or it + 1 == target:
-                    log.write(
-                        f"{it}\t{scalars['lr']!r}\t{scalars['l_tri']!r}\t"
-                        f"{scalars['l_ce']!r}\t{scalars['l']!r}\t"
-                        f"{scalars['active_triplet_fraction']!r}\n"
-                    )
+                    log.write("\t".join(repr(scalars[k]) for k in LOG_COLUMNS) + "\n")
                     log.flush()
                     if progress is not None:
                         progress(scalars)

@@ -1,5 +1,6 @@
 """CLI contracts: subcommands, determinism, exit codes, help texts."""
 
+import argparse
 import os
 import shutil
 import subprocess
@@ -10,10 +11,21 @@ import numpy as np
 import pytest
 
 from trigait.cli import _THREAD_VARS, _config_from_args, build_parser, main
+from trigait.config import FIELD_NAMES
 
 
 def run_cli(*argv) -> int:
     return main(list(argv))
+
+
+def train_config(tmp_path, *flags, config_text=None):
+    """The RunConfig `trigait train` builds from these flags and config text."""
+    argv = ["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")]
+    if config_text is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config_text)
+        argv += ["--config", str(path)]
+    return _config_from_args(build_parser().parse_args(argv + list(flags)))
 
 
 @pytest.fixture(scope="module")
@@ -354,14 +366,6 @@ class TestThreads:
 
 
 class TestSeedPrecedence:
-    def train_config(self, tmp_path, *flags, config_text=None):
-        argv = ["train", "--data", str(tmp_path / "d"), "--out", str(tmp_path / "o")]
-        if config_text is not None:
-            path = tmp_path / "run.cfg"
-            path.write_text(config_text)
-            argv += ["--config", str(path)]
-        return _config_from_args(build_parser().parse_args(argv + list(flags)))
-
     def test_non_integer_env_seed_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TRIGAIT_SEED", "abc")
         args = ["--subjects", "2", "--views", "1", "--seqs-per-view", "1", "--frames", "30"]
@@ -369,20 +373,20 @@ class TestSeedPrecedence:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "TRIGAIT_SEED" in err and "'abc'" in err
         with pytest.raises(ValueError, match="TRIGAIT_SEED"):
-            self.train_config(tmp_path)
+            train_config(tmp_path)
 
     def test_comment_mentioning_seed_does_not_hide_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIGAIT_SEED", "5")
-        cfg = self.train_config(tmp_path, config_text="# the seed comes from the env\nlr = 0.01\n")
+        cfg = train_config(tmp_path, config_text="# the seed comes from the env\nlr = 0.01\n")
         assert cfg.seed == 5 and cfg.lr == 0.01
 
     def test_flag_then_file_then_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIGAIT_SEED", "5")
-        assert self.train_config(tmp_path).seed == 5
-        assert self.train_config(tmp_path, config_text="seed = 9\n").seed == 9
-        assert self.train_config(tmp_path, "--seed", "3", config_text="seed = 9\n").seed == 3
+        assert train_config(tmp_path).seed == 5
+        assert train_config(tmp_path, config_text="seed = 9\n").seed == 9
+        assert train_config(tmp_path, "--seed", "3", config_text="seed = 9\n").seed == 3
         monkeypatch.delenv("TRIGAIT_SEED")
-        assert self.train_config(tmp_path).seed == 0
+        assert train_config(tmp_path).seed == 0
 
     def test_config_file_read_once_and_closed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TRIGAIT_SEED", "5")
@@ -396,6 +400,42 @@ class TestSeedPrecedence:
         monkeypatch.setattr("builtins.open", counting_open)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            self.train_config(tmp_path, config_text="margin = 0.3\n")
+            train_config(tmp_path, config_text="margin = 0.3\n")
         assert opened.count(str(tmp_path / "run.cfg")) == 1
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+# (field, config file value, flag value or None for a bare switch, parsed flag value)
+TRAIN_FLAGS = [
+    ("iterations", "10", "20", 20),
+    ("miniature", "false", None, True),
+    ("partition_mode", "motion", "uniform", "uniform"),
+    ("lr", "0.1", "0.25", 0.25),
+    ("margin", "0.1", "0.3", 0.3),
+    ("log_every", "3", "4", 4),
+    ("checkpoint_every", "3", "4", 4),
+    ("batch_subjects", "3", "4", 4),
+    ("batch_sequences", "3", "4", 4),
+    ("batch_frames", "6", "7", 7),
+    ("eval_max_frames", "6", "7", 7),
+    ("seed", "9", "3", 3),
+    ("threads", "1", "2", 2),
+]
+
+
+class TestFlagsAreConfigKeys:
+    @pytest.mark.parametrize("key, file_value, flag_value, expected", TRAIN_FLAGS,
+                             ids=[row[0] for row in TRAIN_FLAGS])
+    def test_flag_sets_field_over_file(self, tmp_path, key, file_value, flag_value, expected):
+        text = f"{key} = {file_value}\n"
+        from_file = train_config(tmp_path, config_text=text)
+        assert getattr(from_file, key) != expected
+        flag = ["--" + key.replace("_", "-")] + ([] if flag_value is None else [flag_value])
+        assert getattr(train_config(tmp_path, *flag, config_text=text), key) == expected
+
+    def test_every_train_dest_is_a_config_field(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["train"]._actions}
+        dests -= {"help", "data", "out", "resume", "config"}
+        assert dests <= FIELD_NAMES, sorted(dests - FIELD_NAMES)
+        assert dests == {row[0] for row in TRAIN_FLAGS}

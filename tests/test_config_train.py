@@ -240,6 +240,8 @@ class TestTrainer:
             load_training_checkpoint(ck, expect_config=other)
         msg = str(ei.value)
         assert fast_config().hash_hex() in msg and other.hash_hex() in msg
+        # the miniature preset already sets input_size 16: the same network
+        assert load_training_checkpoint(ck, expect_config=fast_config(input_size=16)).iteration == 3
 
     def test_checkpoint_roundtrip_restores_net(self, dataset, tmp_path):
         trainer = Trainer(dataset, fast_config(), tmp_path / "run")

@@ -95,6 +95,22 @@ class TestEstimatorFit:
         out = est.transform((frames, joints))
         assert out.shape == (1, 64, 11)
 
+    def test_transform_accepts_tuple_of_pairs(self, fitted, dataset):
+        pairs = [dataset.load_pair(r) for r in dataset.records()[:2]]
+        out = fitted.transform(tuple(pairs))
+        assert out.shape == (2, 64, 11)
+        assert out.tobytes() == fitted.transform(pairs).tobytes()
+
+    def test_pair_of_nested_lists(self, fitted, dataset):
+        frames, joints = dataset.load_pair(dataset.records()[0])
+        want = fitted.transform((frames, joints)).tobytes()
+        assert fitted.transform((frames.tolist(), joints.tolist())).tobytes() == want
+
+    def test_malformed_pair_named(self, fitted, dataset):
+        frames, joints = dataset.load_pair(dataset.records()[0])
+        with pytest.raises(ValueError, match=re.escape("X[1]: expected a (frames, joints) pair")):
+            fitted.transform([(frames, joints), (frames, joints, joints)])
+
     def test_fit_is_deterministic_in_seed(self, dataset, tmp_path):
         cfg = fit_config(iterations=2, seed=5)
         e1 = GaitEmbedder(cfg, tmp_path / "a").fit(dataset)

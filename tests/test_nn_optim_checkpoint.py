@@ -153,20 +153,20 @@ class TestGeMPoolLayer:
 
 class TestSGD:
     def test_plain_descent(self):
-        p = Parameter(np.array(1.0), "w")
+        p = Parameter(np.array(1.0))
         p.grad = np.array(1.0)
         SGD([p], lr=0.1, momentum=0.0, weight_decay=0.0).step()
         assert abs(p.data - 0.9) < 1e-15
 
     def test_zero_grad_fixed_point(self):
-        p = Parameter(np.array(2.0), "w")
+        p = Parameter(np.array(2.0))
         p.grad = np.array(0.0)
         SGD([p], lr=0.5, momentum=0.0, weight_decay=0.0).step()
         assert p.data == 2.0
 
     def test_two_momentum_steps(self):
         # by hand: v1 = 1, w1 = -0.1; v2 = 1.9, w2 = -0.29
-        p = Parameter(np.array(0.0), "w")
+        p = Parameter(np.array(0.0))
         opt = SGD([p], lr=0.1, momentum=0.9, weight_decay=0.0)
         p.grad = np.array(1.0)
         opt.step()
@@ -176,21 +176,21 @@ class TestSGD:
         assert abs(p.data - (-0.29)) < 1e-12
 
     def test_weight_decay_enters_velocity(self):
-        p = Parameter(np.array(10.0), "w")
+        p = Parameter(np.array(10.0))
         p.grad = np.array(0.0)
         SGD([p], lr=0.1, momentum=0.0, weight_decay=0.5).step()
         assert abs(p.data - (10.0 - 0.1 * 5.0)) < 1e-12
 
-    def test_missing_grad_skipped_and_reported(self):
-        a = Parameter(np.array(1.0), "a")
-        b = Parameter(np.array(1.0), "b")
+    def test_missing_grad_left_unchanged(self):
+        a = Parameter(np.array(1.0))
+        b = Parameter(np.array(1.0))
         a.grad = np.array(1.0)
-        skipped = SGD([a, b], lr=0.1, momentum=0.0, weight_decay=0.0).step()
-        assert skipped == ["b"]
-        assert b.data == 1.0
+        SGD([a, b], lr=0.1, momentum=0.9, weight_decay=0.5).step()
+        assert a.data == 1.0 - 0.1 * 1.5
+        assert b.data == 1.0 and b.momentum_buffer is None
 
     def test_grads_left_intact_until_zero(self):
-        p = Parameter(np.array(1.0), "w")
+        p = Parameter(np.array(1.0))
         p.grad = np.array(2.0)
         opt = SGD([p], lr=0.1, momentum=0.0, weight_decay=0.0)
         opt.step()

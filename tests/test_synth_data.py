@@ -7,7 +7,6 @@ import pytest
 
 from trigait.checkpoint import load_checkpoint, save_checkpoint
 from trigait.data import (
-    BatchSpec,
     read_dataset,
     read_keypoints,
     read_silhouette_frames,
@@ -316,42 +315,33 @@ class TestSampleBatch:
     def test_default_spec_counts(self, tmp_path):
         ds = make_tiny_dataset(tmp_path / "d", n_subjects=8, views=(0,), seqs_per_view=2)
         rng = np.random.default_rng(0)
-        batch = sample_batch(ds, BatchSpec(subjects=8, sequences_per_subject=16, frames=30), rng)
-        assert batch.silhouettes.shape == (128, 30, 64, 64)
-        assert batch.skeletons.shape == (128, 30, 17, 2)
-        labels, counts = np.unique(batch.labels, return_counts=True)
+        sils, skes, labels = sample_batch(ds, 8, 16, 30, rng)
+        assert sils.shape == (128, 30, 64, 64)
+        assert skes.shape == (128, 30, 17, 2)
+        labels, counts = np.unique(labels, return_counts=True)
         assert len(labels) == 8
         assert (counts == 16).all()
 
     def test_exact_length_used_whole(self, tmp_path):
         ds = make_tiny_dataset(tmp_path / "d", n_subjects=2, views=(0,), seqs_per_view=1, T=30)
         rng = np.random.default_rng(1)
-        batch = sample_batch(ds, BatchSpec(subjects=2, sequences_per_subject=2, frames=30), rng)
+        sils, _, _ = sample_batch(ds, 2, 2, 30, rng)
         rec = ds.records_for(0)[0]
         frames, _ = ds.load_pair(rec)
-        matches = [
-            np.array_equal(batch.silhouettes[i], frames) for i in range(len(batch.labels))
-        ]
+        matches = [np.array_equal(sil, frames) for sil in sils]
         assert any(matches)
 
     def test_modalities_share_crop_window(self, tmp_path):
         ds = make_tiny_dataset(tmp_path / "d", n_subjects=2, views=(90,), seqs_per_view=1, T=40)
         rng = np.random.default_rng(2)
-        batch = sample_batch(ds, BatchSpec(subjects=2, sequences_per_subject=3, frames=8), rng)
+        sils, skes, labels = sample_batch(ds, 2, 3, 8, rng)
         # find each crop in the source sequence; both modalities must agree
-        for i in range(len(batch.labels)):
-            subj = int(batch.labels[i])
-            frames, joints = ds.load_pair(ds.records_for(subj)[0])
-            starts = [
-                s
-                for s in range(40 - 8 + 1)
-                if np.array_equal(frames[s : s + 8], batch.silhouettes[i])
-            ]
-            assert any(
-                np.array_equal(joints[s : s + 8], batch.skeletons[i]) for s in starts
-            )
+        for sil, ske, subj in zip(sils, skes, labels):
+            frames, joints = ds.load_pair(ds.records_for(int(subj))[0])
+            starts = [s for s in range(40 - 8 + 1) if np.array_equal(frames[s : s + 8], sil)]
+            assert any(np.array_equal(joints[s : s + 8], ske) for s in starts)
 
     def test_too_few_subjects_rejected(self, tmp_path):
         ds = make_tiny_dataset(tmp_path / "d", n_subjects=2)
         with pytest.raises(ValueError):
-            sample_batch(ds, BatchSpec(subjects=8), np.random.default_rng(0))
+            sample_batch(ds, 8, 16, 30, np.random.default_rng(0))
