@@ -50,16 +50,18 @@ def _rng(seed=0):
 # -- gradient checks ----------------------------------------------------------
 
 
-@check("grad", "conv 1d/2d/3d vs finite differences")
+@check("grad", "conv 1d/2d/3d, dilated and 1x1 vs finite differences")
 def _grad_conv():
     r = _rng(1)
-    for xs, ws, pad in (
-        ((1, 2, 7), (3, 2, 3), 1),
-        ((2, 2, 6, 5), (3, 2, 3, 3), 1),
-        ((1, 1, 4, 5, 5), (2, 1, 3, 3, 3), 1),
+    for xs, ws, dil, pad in (
+        ((1, 2, 7), (3, 2, 3), 1, 1),
+        ((2, 2, 6, 5), (3, 2, 3, 3), 1, 1),
+        ((1, 1, 4, 5, 5), (2, 1, 3, 3, 3), 1, 1),
+        ((2, 2, 7, 6), (3, 2, 3, 3), (2, 1), (2, 1)),
+        ((2, 3, 4, 5), (2, 3, 1, 1), 1, 0),
     ):
         err = gradcheck(
-            lambda x, w, b: conv(x, w, b, padding=pad),
+            lambda x, w, b: conv(x, w, b, dilation=dil, padding=pad),
             [r.uniform(-1, 1, xs), r.uniform(-1, 1, ws), r.uniform(-1, 1, ws[0])],
             n_samples=12,
         )

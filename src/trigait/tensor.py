@@ -577,12 +577,14 @@ def _softmax_grad_inplace(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray
 # ---------------------------------------------------------------------------
 
 
-def _per_axis(value, nd: int, name: str) -> tuple[int, ...]:
+def _per_axis(value, nd: int, name: str, low: int) -> tuple[int, ...]:
     if isinstance(value, (int, np.integer)):
-        return (int(value),) * nd
+        value = (value,) * nd
     value = tuple(int(v) for v in value)
     if len(value) != nd:
         raise ShapeError(f"{name} must have {nd} entries, got {value}")
+    if any(v < low for v in value):
+        raise ShapeError(f"conv: {name} must be >= {low}, got {value}")
     return value
 
 
@@ -597,8 +599,15 @@ def conv(
 
     x: (N, Cin, *spatial); weight: (Cout, Cin, *kernel); bias: (Cout,) or None.
     Covers the 1-D, 2-D, and 3-D cases uniformly; differentiable w.r.t. input,
-    kernel, and bias. The forward and both gradients read the same dilated
-    window view of the padded input; the gradients go one kernel tap at a time.
+    kernel, and bias. dilation >= 1 and padding >= 0, per axis or for all.
+
+    Every product works in one layout, (N, Cin·k, out): the forward copies
+    the dilated window view of the padded input, kernel axes first, into a
+    contiguous (N, Cin, *k, *out) column buffer (a 1x1 kernel's columns are
+    the input itself), then makes one (Cout, Cin·k) @ (Cin·k, out) GEMM per
+    sample. The GEMM has the same shape at every N, so a sample's output does
+    not depend on the batch it is in. Both gradients go one tap at a time
+    through the same window view; the column buffer is not kept for them.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     weight = weight if isinstance(weight, Tensor) else Tensor(weight)
@@ -609,9 +618,10 @@ def conv(
         raise ShapeError(
             f"conv: input channels {x.shape} do not match kernel channels {weight.shape}"
         )
-    dilation = _per_axis(dilation, nd, "dilation")
-    padding = _per_axis(padding, nd, "padding")
-    ksizes = weight.shape[2:]
+    dilation = _per_axis(dilation, nd, "dilation", 1)
+    padding = _per_axis(padding, nd, "padding", 0)
+    n, cin = x.shape[:2]
+    cout, ksizes = weight.shape[0], weight.shape[2:]
     eff = tuple((k - 1) * d + 1 for k, d in zip(ksizes, dilation))
 
     pad_spec = ((0, 0), (0, 0)) + tuple((p, p) for p in padding)
@@ -621,6 +631,8 @@ def conv(
 
     spatial = tuple(range(2, 2 + nd))
     taps = (...,) + tuple(slice(None, None, d) for d in dilation)
+    out = tuple(s - e + 1 for s, e in zip(xp.shape[2:], eff))
+    ntaps, nout = math.prod(ksizes), math.prod(out)
 
     def windows(a, writeable=False):
         """(N, C, *out, *k) dilated window view of the padded array `a`."""
@@ -628,33 +640,38 @@ def conv(
         return view[taps]
 
     win = windows(xp)
-    sum_axes_win = [1] + [2 + nd + i for i in range(nd)]
-    sum_axes_w = [1] + [2 + i for i in range(nd)]
-    data = np.tensordot(win, weight.data, axes=(sum_axes_win, sum_axes_w))
-    data = np.moveaxis(data, -1, 1)  # (N, Cout, *out)
+    if ntaps == 1:
+        cols = xp
+    else:
+        cols = np.empty((n, cin) + ksizes + out)
+        cols[...] = win.transpose((0, 1) + tuple(range(2 + nd, 2 + 2 * nd)) + spatial)
+    cols = cols.reshape(n, cin * ntaps, nout)
+    data = np.matmul(weight.data.reshape(cout, -1), cols).reshape((n, cout) + out)
     if bias is not None:
-        data = data + bias.data.reshape((1, -1) + (1,) * nd)
+        data += bias.data.reshape((1, -1) + (1,) * nd)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
-    batch_out = (0,) + spatial  # the (N, *out) axes
 
     def backward(g):
         # g: (N, Cout, *out)
         gx = gw = gb = None
+        g3 = g.reshape(n, cout, nout)
         if weight.requires_grad:
             gw = np.empty_like(weight.data)
             for k in np.ndindex(*ksizes):
-                gw[(..., *k)] = np.tensordot(g, win[(..., *k)], axes=(batch_out, batch_out))
+                win_k = win[(..., *k)].reshape(n, cin, nout)
+                gw[(..., *k)] = np.matmul(g3, win_k.transpose(0, 2, 1)).sum(axis=0)
         if bias is not None and bias.requires_grad:
-            gb = g.sum(axis=batch_out)
+            gb = g.sum(axis=(0,) + spatial)
         if x.requires_grad:
             gxp = np.zeros_like(xp)
             gwin = windows(gxp, writeable=True)
+            w_taps = np.ascontiguousarray(np.moveaxis(weight.data, 0, -1))  # (Cin, *k, Cout)
             # at unit stride one tap's windows never overlap, so each `+=`
             # writes every element of gxp at most once and loses no update
             for k in np.ndindex(*ksizes):
-                part = np.tensordot(g, weight.data[(..., *k)], axes=(1, 0))  # (N, *out, Cin)
-                gwin[(..., *k)] += np.moveaxis(part, -1, 1)
+                part = np.matmul(w_taps[(slice(None), *k)], g3)  # (N, Cin, out)
+                gwin[(..., *k)] += part.reshape((n, cin) + out)
             core = (slice(None), slice(None)) + tuple(
                 slice(p, p + s) for p, s in zip(padding, x.shape[2:])
             )

@@ -92,8 +92,17 @@ def load_training_checkpoint(path, expect_config: RunConfig | None = None) -> Lo
         k[len("model.") :]: v for k, v in tensors.items() if k.startswith("model.")
     }
     net.load_state_dict(state)
-    for name, p in net.named_parameters():
-        p.momentum_buffer = tensors.get(f"opt.{name}")
+    params = dict(net.named_parameters())
+    for key in [k for k in tensors if k.startswith("opt.")]:
+        p = params.get(key[len("opt.") :])
+        if p is None:
+            raise ValueError(f"{path}: momentum record {key!r} names no parameter")
+        if tensors[key].shape != p.data.shape:
+            raise ValueError(
+                f"{path}: momentum record {key!r} has shape {tensors[key].shape}, "
+                f"its parameter {p.data.shape}"
+            )
+        p.momentum_buffer = tensors[key]
     return LoadedCheckpoint(
         net=net,
         config=config,

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from trigait.checkpoint import save_checkpoint
+from trigait.checkpoint import load_checkpoint, save_checkpoint
 from trigait.config import RunConfig, load_config, parse_config_text
 from trigait.data import read_dataset
 from trigait.model import TriGaitNet
@@ -253,6 +253,21 @@ class TestTrainer:
         ):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
+
+    @pytest.mark.parametrize("tamper,message", [
+        (lambda t: t.update({"opt.no.such.param": np.zeros(3)}),
+         "'opt.no.such.param' names no parameter"),
+        (lambda t: t.update({"opt.classifier.bias": np.append(t["opt.classifier.bias"], 0.0)}),
+         r"'opt.classifier.bias' has shape \(5,\), its parameter \(4,\)"),
+    ], ids=["unknown-record", "misshapen-record"])
+    def test_momentum_record_that_does_not_fit_rejected(self, dataset, tmp_path, tamper, message):
+        tensors = load_checkpoint(Trainer(dataset, fast_config(iterations=1), tmp_path / "run").run())
+        assert tensors["opt.classifier.bias"].shape == (4,)
+        tamper(tensors)
+        bad = tmp_path / "tampered.tgck"
+        save_checkpoint(bad, tensors)
+        with pytest.raises(ValueError, match=re.escape(str(bad)) + ": momentum record " + message):
+            load_training_checkpoint(bad)
 
     def test_invalid_config_message_lists_problems(self, dataset, tmp_path):
         with pytest.raises(ValueError) as ei:

@@ -7,6 +7,7 @@ from trigait.data import SequenceRecord
 from trigait.evaluate import (
     EvalReport,
     embed_all,
+    embed_batch,
     emit_report,
     part_summed_distances,
     rank1,
@@ -222,6 +223,29 @@ class TestEmbedAll:
         assert sorted(net.batches) == sorted(want)
         assert net.batches[-3:] == [[8, 12], [4], [10]]  # partial batches last, by frame count
         np.testing.assert_array_equal(emb[:, 0, 0], np.arange(len(ts)))
+
+    def test_embeddings_do_not_depend_on_batch_layout(self):
+        """Batches of 2, 4 and 8 embed every sequence bit for bit as one batch
+        of 16 does. Batch 1 is not asserted: `PartwiseLinear`'s matmul takes
+        another path at N=1 (ROADMAP item 8's remaining case)."""
+        from trigait.config import RunConfig
+        from trigait.model import TriGaitNet, preprocess_silhouettes
+        from trigait.synth import CONDITIONS, render_sequence, synth_subject
+
+        pairs = [
+            render_sequence(synth_subject(i), CONDITIONS[i % 3], (0, 90, 180)[i % 3], T=30,
+                            seed=i, subject_id=i, seq_index=0)
+            for i in range(16)
+        ]
+        frames = np.stack([sil.frames for _, sil in pairs])
+        joints = np.stack([ske.joints for ske, _ in pairs])
+        net = TriGaitNet(RunConfig(miniature=True), 4, rng(1))
+        pre = lambda f: preprocess_silhouettes(f, 16)
+        whole = embed_batch(net, frames, joints, pre)
+        for size in (2, 4, 8):
+            parts = [embed_batch(net, frames[lo : lo + size], joints[lo : lo + size], pre)
+                     for lo in range(0, 16, size)]
+            np.testing.assert_array_equal(np.concatenate(parts), whole, err_msg=f"batch {size}")
 
     def test_missing_gallery_view_gives_absent_cells(self):
         r = rng(10)

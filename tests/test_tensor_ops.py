@@ -1,5 +1,6 @@
 """Tensor-core op tests: worked examples, analytic invariants, gradchecks."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -121,15 +122,24 @@ class TestConv:
         core = (slice(None), slice(None)) + tuple(slice(p, p + s) for p, s in zip(pad, x.shape[2:]))
         return y, gxp[core], gw
 
-    @pytest.mark.parametrize("xs, ws, dil, pad", [
-        ((2, 2, 9), (3, 2, 3), 1, 1),
-        ((2, 3, 7, 6), (2, 3, 3, 3), 2, 2),
-        ((1, 2, 3, 4, 5), (2, 2, 3, 3, 3), 1, 1),
-        ((1, 2, 4), (2, 2, 2), 1, 3),  # padding wider than the kernel's extent
+    @pytest.mark.parametrize("xs, ws, dil, pad, transposed", [
+        pytest.param((2, 2, 9), (3, 2, 3), 1, 1, False, id="xs0-ws0-1-1"),
+        pytest.param((2, 3, 7, 6), (2, 3, 3, 3), 2, 2, False, id="xs1-ws1-2-2"),
+        pytest.param((1, 2, 3, 4, 5), (2, 2, 3, 3, 3), 1, 1, False, id="xs2-ws2-1-1"),
+        # padding wider than the kernel's extent
+        pytest.param((1, 2, 4), (2, 2, 2), 1, 3, False, id="xs3-ws3-1-3"),
+        pytest.param((2, 3, 5, 4), (4, 3, 1, 1), 1, 0, False, id="1x1"),
+        pytest.param((2, 3, 5, 4), (4, 3, 1, 1), 1, 1, False, id="1x1-padded"),
+        # unpadded, so conv reads the non-contiguous input itself
+        pytest.param((2, 3, 6, 5), (2, 3, 3, 3), 1, 0, True, id="transposed-input"),
+        pytest.param((2, 3, 5, 4), (4, 3, 1, 1), 1, 0, True, id="transposed-input-1x1"),
     ])
-    def test_output_and_both_gradients_against_loop_oracle(self, xs, ws, dil, pad):
+    def test_output_and_both_gradients_against_loop_oracle(self, xs, ws, dil, pad, transposed):
         r = rng(11)
         x, w = r.standard_normal(xs), r.standard_normal(ws)
+        if transposed:
+            x = np.ascontiguousarray(x.T).T  # same values, reversed strides
+            assert not x.flags.c_contiguous
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         y = conv(xt, wt, dilation=dil, padding=pad)
         g = r.standard_normal(y.shape)
@@ -138,6 +148,32 @@ class TestConv:
         np.testing.assert_allclose(y.data, y_ref, atol=1e-12)
         np.testing.assert_allclose(xt.grad, gx_ref, atol=1e-12)
         np.testing.assert_allclose(wt.grad, gw_ref, atol=1e-12)
+
+    @pytest.mark.parametrize("xs, ws, dil, pad", [
+        ((5, 4, 30), (6, 4, 3), 1, 1),
+        ((5, 8, 30, 17), (16, 8, 3, 3), 1, 1),
+        ((16, 8, 4, 4), (8, 8, 3, 3), 2, 2),  # dilated, like a spatial-refine gate at batch 16
+        ((5, 4, 6, 8, 8), (8, 4, 3, 3, 3), 1, 1),
+        ((5, 8, 30, 4), (8, 8, 3, 1), (3, 1), (3, 0)),  # dilated
+        ((5, 16, 30, 17), (32, 16, 1, 1), 1, 0),  # 1x1
+        ((5, 16, 30, 17), (32, 16, 1, 1), 1, 1),  # padded 1x1
+    ])
+    def test_batch_equals_per_sample_convs_bit_for_bit(self, xs, ws, dil, pad):
+        r = rng(13)
+        x, w, b = (Tensor(r.standard_normal(s)) for s in (xs, ws, ws[:1]))
+        whole = conv(x, w, b, dil, pad).data
+        each = [conv(Tensor(x.data[i : i + 1]), w, b, dil, pad).data for i in range(xs[0])]
+        np.testing.assert_array_equal(whole, np.concatenate(each))
+
+    @pytest.mark.parametrize("kw, message", [
+        (dict(dilation=0), "dilation must be >= 1, got (0, 0)"),
+        (dict(dilation=(1, -2)), "dilation must be >= 1, got (1, -2)"),
+        (dict(padding=-1), "padding must be >= 0, got (-1, -1)"),
+        (dict(padding=(0, -3)), "padding must be >= 0, got (0, -3)"),
+    ], ids=["dilation-0", "dilation-per-axis", "padding-negative", "padding-per-axis"])
+    def test_bad_dilation_or_padding_named(self, kw, message):
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            conv(Tensor(np.zeros((1, 2, 6, 6))), Tensor(np.zeros((3, 2, 3, 3))), **kw)
 
     def test_backward_allocates_no_per_tap_copy_of_the_input(self):
         # tracemalloc counts numpy's buffers; a buffer of taps x the input
