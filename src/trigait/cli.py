@@ -165,7 +165,7 @@ def cmd_eval(args) -> int:
     import numpy as np
 
     from .data import read_dataset
-    from .evaluate import embed_all, emit_report, rank1, split_gallery_probe
+    from .evaluate import GALLERY_NM_COUNT, embed_all, emit_report, rank1, split_gallery_probe
     from .fusion import PARTS, part_rows
     from .model import preprocess_silhouettes
     from .train import load_training_checkpoint
@@ -178,7 +178,9 @@ def cmd_eval(args) -> int:
     records = dataset.records()
     split = split_gallery_probe(records)
     if not split.gallery:
-        raise ValueError("eval: gallery is empty (no NM sequences with seq_index < 4)")
+        raise ValueError(
+            f"eval: gallery is empty (no NM sequences with seq_index < {GALLERY_NM_COUNT})"
+        )
     emb, labels, views, conditions, _ = embed_all(
         loaded.net,
         dataset,
@@ -194,12 +196,10 @@ def cmd_eval(args) -> int:
     )
 
     os.makedirs(args.out, exist_ok=True)
-    tsv = os.path.join(args.out, "report.tsv")
-    md = os.path.join(args.out, "report.md")
-    with open(tsv, "w") as fh:
-        fh.write(emit_report(report, "tsv"))
-    with open(md, "w") as fh:
-        fh.write(emit_report(report, "markdown"))
+    paths = [os.path.join(args.out, name) for name in ("report.tsv", "report.md")]
+    for path, fmt in zip(paths, ("tsv", "markdown")):
+        with open(path, "w") as fh:
+            fh.write(emit_report(report, fmt))
 
     if args.dump_ranges:
         h_feat = cfg.input_size // 2
@@ -221,7 +221,7 @@ def cmd_eval(args) -> int:
     for cond in report.conditions:
         print(f"{cond} {100.0 * report.condition_mean(cond):.1f}")
     print(f"Mean {100.0 * report.grand_mean():.1f}")
-    print(f"reports: {tsv} {md}")
+    print("reports: " + " ".join(paths))
     return 0
 
 

@@ -52,6 +52,11 @@ def part_summed_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
+def _scored(grid: np.ndarray) -> np.ndarray:
+    """Cells that enter a mean: scored (not NaN) and not the identical view."""
+    return ~np.isnan(grid) & ~np.eye(len(grid), dtype=bool)
+
+
 @dataclass
 class EvalReport:
     """rank1[condition] is a (V, V) grid indexed by [probe_view, gallery_view],
@@ -59,29 +64,23 @@ class EvalReport:
 
     views: list[int]
     rank1: dict[str, np.ndarray]
-    conditions: tuple[str, ...] = CONDITIONS
+
+    @property
+    def conditions(self) -> tuple[str, ...]:
+        return tuple(self.rank1)
 
     def probe_view_means(self, condition: str) -> np.ndarray:
         """Per probe view: mean over gallery views, identical view excluded."""
         grid = self.rank1[condition]
-        v = len(self.views)
-        out = np.full(v, np.nan)
-        for pi in range(v):
-            vals = [grid[pi, gi] for gi in range(v) if gi != pi and not np.isnan(grid[pi, gi])]
-            if vals:
-                out[pi] = float(np.mean(vals))
-        return out
+        return np.array([
+            row[keep].mean() if keep.any() else np.nan
+            for row, keep in zip(grid, _scored(grid))
+        ])
 
     def condition_mean(self, condition: str) -> float:
         grid = self.rank1[condition]
-        v = len(self.views)
-        vals = [
-            grid[pi, gi]
-            for pi in range(v)
-            for gi in range(v)
-            if gi != pi and not np.isnan(grid[pi, gi])
-        ]
-        return float(np.mean(vals)) if vals else float("nan")
+        cells = grid[_scored(grid)]
+        return float(cells.mean()) if cells.size else float("nan")
 
     def grand_mean(self) -> float:
         """Mean over the conditions with a scored cell; NaN only if none has one."""
@@ -97,34 +96,31 @@ def rank1(
     probe_labels: np.ndarray,
     probe_views: np.ndarray,
     probe_conditions: np.ndarray,
-    conditions: tuple[str, ...] = CONDITIONS,
 ) -> EvalReport:
     """Nearest-neighbour rank-1 accuracy per (condition, probe view, gallery
-    view) cell. Ties break toward the lowest gallery index."""
+    view) cell, for every condition in `synth.CONDITIONS`.
+
+    hits[i, gi] is 1.0 when probe i's nearest view-gi gallery entry (ties to
+    the lowest gallery index) shares its label, NaN when view gi has no
+    gallery entry; a grid row is the mean of its probes' hit rows."""
     views = sorted(set(np.asarray(gallery_views).tolist()) | set(np.asarray(probe_views).tolist()))
-    v = len(views)
     if gallery_emb.shape[0] == 0:
         raise ValueError("rank1: empty gallery")
     dist = part_summed_distances(probe_emb, gallery_emb)
-    report = EvalReport(views=views, rank1={}, conditions=tuple(conditions))
-    for cond in conditions:
-        grid = np.full((v, v), np.nan)
+    hits = np.full((len(probe_emb), len(views)), np.nan)
+    for gi, gv in enumerate(views):
+        gal_sel = np.flatnonzero(gallery_views == gv)
+        if gal_sel.size:
+            nearest = gal_sel[np.argmin(dist[:, gal_sel], axis=1)]
+            hits[:, gi] = gallery_labels[nearest] == probe_labels
+    grids = {}
+    for cond in CONDITIONS:
+        grid = grids[cond] = np.full((len(views), len(views)), np.nan)
         for pi, pv in enumerate(views):
-            probe_sel = np.flatnonzero(
-                (probe_conditions == cond) & (probe_views == pv)
-            )
-            if probe_sel.size == 0:
-                continue
-            for gi, gv in enumerate(views):
-                gal_sel = np.flatnonzero(gallery_views == gv)
-                if gal_sel.size == 0:
-                    continue
-                sub = dist[np.ix_(probe_sel, gal_sel)]
-                nearest = gal_sel[np.argmin(sub, axis=1)]
-                correct = gallery_labels[nearest] == probe_labels[probe_sel]
-                grid[pi, gi] = float(np.mean(correct))
-        report.rank1[cond] = grid
-    return report
+            sel = (probe_conditions == cond) & (probe_views == pv)
+            if sel.any():
+                grid[pi] = hits[sel].mean(axis=0)
+    return EvalReport(views=views, rank1=grids)
 
 
 def embed_batch(net, frames: np.ndarray, joints: np.ndarray, preprocess) -> np.ndarray:
@@ -197,34 +193,22 @@ def emit_report(report: EvalReport, fmt: str = "tsv") -> str:
         raise ValueError(f"unknown report format {fmt!r}")
     full = fmt == "tsv"
     views = report.views
-    lines = []
+    # (condition, probe-view means, condition mean), formatted once for both tables
+    rows = [(c, [_fmt_pct(m, full) for m in report.probe_view_means(c)],
+             _fmt_pct(report.condition_mean(c), full)) for c in report.conditions]
+    grand = _fmt_pct(report.grand_mean(), full)
     if fmt == "markdown":
-        header = "| Probe | " + " | ".join(str(v) for v in views) + " | Mean |"
-        sep = "|" + "---|" * (len(views) + 2)
-        lines += ["## Rank-1 accuracy (%) by probe view, identical-view cells excluded", "", header, sep]
-        for cond in report.conditions:
-            means = report.probe_view_means(cond)
-            row = [cond] + [_fmt_pct(m, full) for m in means]
-            row.append(_fmt_pct(report.condition_mean(cond), full))
-            lines.append("| " + " | ".join(row) + " |")
+        lines = ["## Rank-1 accuracy (%) by probe view, identical-view cells excluded", "",
+                 "| Probe | " + " | ".join(str(v) for v in views) + " | Mean |",
+                 "|" + "---|" * (len(views) + 2)]
+        lines += ["| " + " | ".join([cond, *cells, mean]) + " |" for cond, cells, mean in rows]
         lines += ["", "## Condition summary", "", "| Condition | Rank-1 (%) |", "|---|---|"]
-        for cond in report.conditions:
-            lines.append(f"| {cond} | {_fmt_pct(report.condition_mean(cond), full)} |")
-        lines.append(f"| Mean | {_fmt_pct(report.grand_mean(), full)} |")
+        lines += [f"| {cond} | {mean} |" for cond, _, mean in rows]
+        lines.append(f"| Mean | {grand} |")
     else:
-        lines.append("table\tcondition\t" + "\t".join(f"v{v:03d}" for v in views) + "\tmean")
-        for cond in report.conditions:
-            means = report.probe_view_means(cond)
-            cells = "\t".join(_fmt_pct(m, full) for m in means)
-            lines.append(
-                f"views\t{cond}\t{cells}\t{_fmt_pct(report.condition_mean(cond), full)}"
-            )
-        for cond in report.conditions:
-            pad = "\t" * len(views)
-            lines.append(
-                f"summary\t{cond}{pad}\t{_fmt_pct(report.condition_mean(cond), full)}"
-            )
-        lines.append(
-            "summary\tMEAN" + "\t" * len(views) + f"\t{_fmt_pct(report.grand_mean(), full)}"
-        )
+        pad = "\t" * len(views)
+        lines = ["table\tcondition\t" + "\t".join(f"v{v:03d}" for v in views) + "\tmean"]
+        lines += [f"views\t{cond}\t" + "\t".join(cells) + f"\t{mean}" for cond, cells, mean in rows]
+        lines += [f"summary\t{cond}{pad}\t{mean}" for cond, _, mean in rows]
+        lines.append(f"summary\tMEAN{pad}\t{grand}")
     return "\n".join(lines) + "\n"

@@ -17,8 +17,6 @@ from .config import MIN_FRAMES
 from .nn import BatchNorm, Conv, GeMPool, Module, ModuleList
 from .tensor import Tensor, concat, leaky_relu, relu, sigmoid, stack
 
-LEAK = 0.01
-
 
 def max_pool_2x2(x: Tensor) -> Tensor:
     """Spatial 2x2/stride-2 max pool on (N, C, T, H, W)."""
@@ -37,7 +35,7 @@ class StemBlock(Module):
         self.pool = pool
 
     def forward(self, x):
-        y = leaky_relu(self.bn(self.conv(x)), LEAK)
+        y = leaky_relu(self.bn(self.conv(x)))
         return max_pool_2x2(y) if self.pool else y
 
 

@@ -15,8 +15,6 @@ from .nn import BatchNorm, Conv, Linear, Module, ModuleList
 from .synth import NUM_JOINTS, PARENTS
 from .tensor import Tensor, attention, leaky_relu, matmul
 
-LEAK = 0.01
-
 MULTI_INPUT_CHANNELS = 10
 
 
@@ -78,8 +76,8 @@ class JsaTcBlock(Module):
         self.proj = Conv(cin, cout, (1, 1), rng, bias=False) if cin != cout else None
 
     def forward(self, x: Tensor) -> Tensor:
-        h = leaky_relu(self.bn1(self.jsa(x)), LEAK)
-        z = leaky_relu(self.bn2(self.tc(h)), LEAK)
+        h = leaky_relu(self.bn1(self.jsa(x)))
+        z = leaky_relu(self.bn2(self.tc(h)))
         res = self.proj(x) if self.proj is not None else x
         return z + res
 

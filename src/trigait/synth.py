@@ -34,11 +34,6 @@ PARENTS = np.array([0, 0, 0, 1, 2, 0, 0, 5, 6, 7, 8, 5, 6, 11, 12, 13, 14])
 
 CONDITIONS = ("NM", "BG", "CL")
 
-BONES = [
-    (L_SHO, L_ELB), (L_ELB, L_WRI), (R_SHO, R_ELB), (R_ELB, R_WRI),
-    (L_HIP, L_KNE), (L_KNE, L_ANK), (R_HIP, R_KNE), (R_KNE, R_ANK),
-]
-
 
 @dataclass
 class SubjectParams:

@@ -578,9 +578,10 @@ def _softmax_grad_inplace(g: np.ndarray, p: np.ndarray, axis: int) -> np.ndarray
 
 
 def _per_axis(value, nd: int, name: str, low: int) -> tuple[int, ...]:
-    if isinstance(value, (int, np.integer)):
-        value = (value,) * nd
-    value = tuple(int(v) for v in value)
+    entries = (value,) * nd if np.ndim(value) == 0 else tuple(value)
+    if not all(isinstance(v, (int, np.integer)) for v in entries):
+        raise ShapeError(f"conv: {name} must be integers, got {value!r}")
+    value = tuple(int(v) for v in entries)
     if len(value) != nd:
         raise ShapeError(f"{name} must have {nd} entries, got {value}")
     if any(v < low for v in value):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from trigait.checks import bruteforce_rank1
 from trigait.data import SequenceRecord
 from trigait.evaluate import (
     EvalReport,
@@ -88,6 +89,26 @@ class TestRank1:
         pi = report.views.index(18)
         gi = report.views.index(0)
         assert report.rank1["NM"][pi, gi] == 1.0  # matched index 0 (label 3)
+
+    def test_nan_layout_matches_bruteforce_oracle(self):
+        # random embeddings, so no near ties; view 36 has probes but no gallery
+        # (a NaN column), view 54 gallery but no probes (a NaN row), CL no probes
+        r = rng(6)
+        gal, probe = r.standard_normal((30, 4, 3)), r.standard_normal((40, 4, 3))
+        args = (
+            gal, r.integers(0, 5, 30), np.array([0, 18, 54])[r.integers(0, 3, 30)],
+            probe, r.integers(0, 5, 40), np.array([0, 18, 36])[r.integers(0, 3, 40)],
+            np.array(["NM", "BG"])[r.integers(0, 2, 40)],
+        )
+        report = rank1(*args)
+        want = bruteforce_rank1(*args, report.views)
+        assert report.conditions == tuple(want) == ("NM", "BG", "CL")
+        for cond in want:
+            np.testing.assert_array_equal(report.rank1[cond], want[cond], err_msg=cond)
+        assert np.isnan(report.rank1["CL"]).all()
+        assert np.isnan(report.rank1["NM"][:, report.views.index(36)]).all()
+        assert np.isnan(report.rank1["NM"][report.views.index(54)]).all()
+        assert not np.isnan(report.rank1["NM"][0, 0])
 
     def test_identical_view_cells_excluded_from_means(self):
         views = list(range(0, 198, 18))

@@ -269,27 +269,41 @@ class TestBackwardMemory:
 
 
 @pytest.fixture(scope="module")
-def graph_nodes():
-    """`graph_nodes` from the benchmark's tracing module, so the count here is
-    the `tensor.graph_nodes` definition itself."""
+def tracing():
+    """The benchmark's tracing module, loaded from its file, so the graph
+    count here is the `tensor.graph_nodes` definition itself."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.graph_nodes
+    return module
 
 
 class TestGraphSize:
     """Graph nodes per training step, a design metric: counts only, no timing."""
 
-    def test_training_step(self, graph_nodes):
+    def test_training_step(self, tracing):
         net = TriGaitNet(RunConfig(miniature=True), 4, rng(0))
         sils, skes, labels = make_batch()  # N=8, T=5
         total, _ = net.loss(net.forward(sils, skes), labels)
-        assert graph_nodes(total) <= 195
+        assert tracing.graph_nodes(total) <= 195
 
-    def test_part_tokens(self, graph_nodes):
+    def test_part_tokens(self, tracing):
         f_x = Tensor(rng(1).uniform(0, 1, (2, 3, 2, 8, 4)), requires_grad=True)
         f_y = Tensor(rng(2).standard_normal((2, 4, 2, 17)), requires_grad=True)
         rows, _ = part_rows(np.zeros((2, 2, 17, 2)), 8, "uniform")
-        assert graph_nodes(cross_modal_tokens(f_x, f_y, rows)) <= 16
+        assert tracing.graph_nodes(cross_modal_tokens(f_x, f_y, rows)) <= 16
+
+
+class TestTraceTargets:
+    def test_every_target_resolves(self, tracing):
+        """A rename in `src/` that the benchmark's tracer would trip over
+        fails here: each target's module, attribute path and importers'
+        name must reach one callable."""
+        for _, module, attr, importers in tracing.TARGETS:
+            target = importlib.import_module(module)
+            for part in attr.split("."):
+                target = getattr(target, part)
+            name = attr.rpartition(".")[2]
+            for importer in importers:
+                assert getattr(importlib.import_module(importer), name) is target, (importer, name)

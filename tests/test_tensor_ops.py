@@ -170,7 +170,11 @@ class TestConv:
         (dict(dilation=(1, -2)), "dilation must be >= 1, got (1, -2)"),
         (dict(padding=-1), "padding must be >= 0, got (-1, -1)"),
         (dict(padding=(0, -3)), "padding must be >= 0, got (0, -3)"),
-    ], ids=["dilation-0", "dilation-per-axis", "padding-negative", "padding-per-axis"])
+        (dict(dilation=(1.9, 1.9)), "dilation must be integers, got (1.9, 1.9)"),
+        (dict(padding=(0.7, 0.7)), "padding must be integers, got (0.7, 0.7)"),
+        (dict(dilation=2.0), "dilation must be integers, got 2.0"),
+    ], ids=["dilation-0", "dilation-per-axis", "padding-negative", "padding-per-axis",
+            "dilation-float-per-axis", "padding-float-per-axis", "dilation-float"])
     def test_bad_dilation_or_padding_named(self, kw, message):
         with pytest.raises(ShapeError, match=re.escape(message)):
             conv(Tensor(np.zeros((1, 2, 6, 6))), Tensor(np.zeros((3, 2, 3, 3))), **kw)
